@@ -53,8 +53,8 @@ def main(argv=None) -> int:
 
     print("\nper-stage wall times:")
     print(timing_csv(timings))
-    print(f"finalizers run: {stats.finalizers_run} (every frame's transient "
-          "resources were reclaimed through the deletion queues)")
+    print(f"finalizers run: {stats.finalizers_run} (the multisample targets "
+          "were released through the deletion queues at shutdown)")
 
     print("\noutputs:")
     for i, image in enumerate(images):

@@ -4,7 +4,9 @@ A Blas (bottom level) is built once per geometry over object-space
 triangles with a binned surface-area heuristic.  A Tlas (top level) is
 rebuilt from scratch every frame over the world-space boxes of the
 instances; rays are transformed into object space at instance leaves, so
-hit distances stay parameterized in world units.
+hit distances stay parameterized in world units.  One walk over both
+levels serves closest-hit and any-hit queries, and one pre-order walk
+serves compaction and the debug dumps.
 
 Conventions that tests rely on:
   - Intersection uses the Moller-Trumbore form with determinant cutoff
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,10 +42,6 @@ class Aabb:
 
     def union(self, other: "Aabb") -> "Aabb":
         return Aabb(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
-
-    def contains_point(self, p, eps: float = 0.0) -> bool:
-        p = np.asarray(p, dtype=np.float64)
-        return bool(np.all(p >= self.lo - eps) and np.all(p <= self.hi + eps))
 
     def contains_box(self, other: "Aabb", eps: float = 1e-12) -> bool:
         return bool(np.all(other.lo >= self.lo - eps) and np.all(other.hi <= self.hi + eps))
@@ -204,18 +202,47 @@ def _sah_split(lo: np.ndarray, hi: np.ndarray, centroids: np.ndarray):
     return best_mask
 
 
-# ---------------------------------------------------------------------------
-# Bottom level: triangles of one geometry, object space.
-
 @dataclass
-class Blas:
-    geometry_id: int
+class _Nodes:
+    """The node arrays _build_bvh returns, shared by both levels."""
     node_lo: np.ndarray
     node_hi: np.ndarray
     node_left: np.ndarray
     node_right: np.ndarray
-    node_start: np.ndarray
+    node_start: np.ndarray  # >= 0 marks a leaf
     node_count: np.ndarray
+
+    @property
+    def root_aabb(self) -> Aabb:
+        return Aabb(self.node_lo[0].copy(), self.node_hi[0].copy())
+
+
+def _preorder(nodes: _Nodes):
+    """Yield (node index, depth), parents before children, left subtree first."""
+    stack = [(0, 0)]
+    while stack:
+        ni, depth = stack.pop()
+        yield ni, depth
+        if nodes.node_start[ni] < 0:
+            stack.append((int(nodes.node_right[ni]), depth + 1))
+            stack.append((int(nodes.node_left[ni]), depth + 1))
+
+
+def _serialize(header, arrays) -> bytes:
+    """int64 header, then each array's int64 shape followed by its bytes."""
+    parts = [np.int64(header).tobytes()]
+    for arr in arrays:
+        parts.append(np.int64(arr.shape).tobytes())
+        parts.append(np.ascontiguousarray(arr).tobytes())
+    return b"".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Bottom level: triangles of one geometry, object space.
+
+@dataclass
+class Blas(_Nodes):
+    geometry_id: int
     tri_order: np.ndarray  # permutation; leaves reference this
     v0: np.ndarray  # (M, 3) per tri_order entry
     e1: np.ndarray
@@ -227,17 +254,6 @@ class Blas:
     def node_total(self) -> int:
         return len(self.node_lo)
 
-    @property
-    def root_aabb(self) -> Aabb:
-        return Aabb(self.node_lo[0].copy(), self.node_hi[0].copy())
-
-    def _arrays(self) -> list[np.ndarray]:
-        retained = [self.node_lo, self.node_hi, self.node_left, self.node_right,
-                    self.node_start, self.node_count, self.tri_order,
-                    self.v0, self.e1, self.e2]
-        retained.extend(self.scratch[k] for k in sorted(self.scratch))
-        return retained
-
 
 def build_blas(positions: np.ndarray, triangles: np.ndarray, geometry_id: int = 0) -> Blas:
     positions = np.asarray(positions, dtype=np.float64)
@@ -248,12 +264,10 @@ def build_blas(positions: np.ndarray, triangles: np.ndarray, geometry_id: int = 
     tri_lo = np.minimum(np.minimum(a, b), c)
     tri_hi = np.maximum(np.maximum(a, b), c)
 
-    node_lo, node_hi, left, right, start, count, order = _build_bvh(tri_lo, tri_hi, LEAF_MAX_TRIS)
+    *nodes, order = _build_bvh(tri_lo, tri_hi, LEAF_MAX_TRIS)
     return Blas(
+        *nodes,
         geometry_id=geometry_id,
-        node_lo=node_lo, node_hi=node_hi,
-        node_left=left, node_right=right,
-        node_start=start, node_count=count,
         tri_order=order,
         v0=a[order], e1=b[order] - a[order], e2=c[order] - a[order],
         compacted=False,
@@ -268,11 +282,10 @@ def serialize_blas(blas: Blas) -> bytes:
     Used both for the compaction size comparison and for byte-identity
     checks between rebuilds.
     """
-    parts = [np.int64([blas.geometry_id, int(blas.compacted), blas.node_total]).tobytes()]
-    for arr in blas._arrays():
-        parts.append(np.int64(arr.shape).tobytes())
-        parts.append(np.ascontiguousarray(arr).tobytes())
-    return b"".join(parts)
+    retained = [blas.node_lo, blas.node_hi, blas.node_left, blas.node_right,
+                blas.node_start, blas.node_count, blas.tri_order, blas.v0, blas.e1, blas.e2]
+    retained += [blas.scratch[k] for k in sorted(blas.scratch)]
+    return _serialize([blas.geometry_id, int(blas.compacted), blas.node_total], retained)
 
 
 def blas_signature(blas: Blas) -> str:
@@ -288,31 +301,17 @@ def compact_blas(blas: Blas) -> Blas:
     """
     if blas.compacted:
         return blas
-    n = blas.node_total
-    remap = np.full(n, -1, dtype=np.int64)
-    dfs = []
-    stack = [0]
-    while stack:
-        ni = stack.pop()
-        remap[ni] = len(dfs)
-        dfs.append(ni)
-        if blas.node_start[ni] < 0:
-            stack.append(int(blas.node_right[ni]))
-            stack.append(int(blas.node_left[ni]))
-    dfs = np.array(dfs, dtype=np.int64)
+    dfs = np.array([ni for ni, _ in _preorder(blas)], dtype=np.int64)
+    remap = np.argsort(dfs)  # every node is reached once, so dfs is a permutation
     left = blas.node_left[dfs]
     right = blas.node_right[dfs]
     internal = blas.node_start[dfs] < 0
     left[internal] = remap[left[internal]]
     right[internal] = remap[right[internal]]
-    return Blas(
-        geometry_id=blas.geometry_id,
-        node_lo=blas.node_lo[dfs].copy(), node_hi=blas.node_hi[dfs].copy(),
-        node_left=left.astype(np.int32), node_right=right.astype(np.int32),
-        node_start=blas.node_start[dfs].copy(), node_count=blas.node_count[dfs].copy(),
-        tri_order=blas.tri_order, v0=blas.v0, e1=blas.e1, e2=blas.e2,
-        compacted=True, scratch={},
-    )
+    return replace(blas, node_lo=blas.node_lo[dfs], node_hi=blas.node_hi[dfs],
+                   node_left=left, node_right=right,
+                   node_start=blas.node_start[dfs], node_count=blas.node_count[dfs],
+                   compacted=True, scratch={})
 
 
 # ---------------------------------------------------------------------------
@@ -330,23 +329,13 @@ class TlasInstance:
 
 
 @dataclass
-class Tlas:
+class Tlas(_Nodes):
     instances: list[TlasInstance]
-    node_lo: np.ndarray
-    node_hi: np.ndarray
-    node_left: np.ndarray
-    node_right: np.ndarray
-    node_start: np.ndarray
-    node_count: np.ndarray
     inst_order: np.ndarray
     inv_transforms: np.ndarray  # (K, 4, 4)
     world_lo: np.ndarray        # (K, 3) per-instance world bounds
     world_hi: np.ndarray
     frame_index: int = 0
-
-    @property
-    def root_aabb(self) -> Aabb:
-        return Aabb(self.node_lo[0].copy(), self.node_hi[0].copy())
 
 
 def instance_world_aabb(instance: TlasInstance) -> Aabb:
@@ -359,9 +348,7 @@ def instance_world_aabb(instance: TlasInstance) -> Aabb:
 def build_tlas(instances: list[TlasInstance], frame_index: int = 0) -> Tlas:
     """Full rebuild over the instance list; no incremental refit."""
     if not instances:
-        lo = np.zeros((1, 3))
-        hi = np.zeros((1, 3))
-        return Tlas(instances=[], node_lo=lo, node_hi=hi,
+        return Tlas(instances=[], node_lo=np.zeros((1, 3)), node_hi=np.zeros((1, 3)),
                     node_left=np.int32([-1]), node_right=np.int32([-1]),
                     node_start=np.int32([0]), node_count=np.int32([0]),
                     inst_order=np.zeros(0, dtype=np.int64),
@@ -371,26 +358,19 @@ def build_tlas(instances: list[TlasInstance], frame_index: int = 0) -> Tlas:
     boxes = [instance_world_aabb(inst) for inst in instances]
     world_lo = np.array([b.lo for b in boxes])
     world_hi = np.array([b.hi for b in boxes])
-    node_lo, node_hi, left, right, start, count, order = _build_bvh(
-        world_lo, world_hi, LEAF_MAX_INSTANCES)
+    *nodes, order = _build_bvh(world_lo, world_hi, LEAF_MAX_INSTANCES)
     inv = np.array([np.linalg.inv(inst.transform) for inst in instances])
-    return Tlas(instances=list(instances),
-                node_lo=node_lo, node_hi=node_hi,
-                node_left=left, node_right=right,
-                node_start=start, node_count=count,
+    return Tlas(*nodes, instances=list(instances),
                 inst_order=order, inv_transforms=inv,
                 world_lo=world_lo, world_hi=world_hi,
                 frame_index=frame_index)
 
 
 def serialize_tlas(tlas: Tlas) -> bytes:
-    parts = [np.int64([tlas.frame_index, len(tlas.instances)]).tobytes()]
-    for arr in (tlas.node_lo, tlas.node_hi, tlas.node_left, tlas.node_right,
-                tlas.node_start, tlas.node_count, tlas.inst_order,
-                tlas.inv_transforms, tlas.world_lo, tlas.world_hi):
-        parts.append(np.int64(arr.shape).tobytes())
-        parts.append(np.ascontiguousarray(arr).tobytes())
-    return b"".join(parts)
+    return _serialize([tlas.frame_index, len(tlas.instances)],
+                      (tlas.node_lo, tlas.node_hi, tlas.node_left, tlas.node_right,
+                       tlas.node_start, tlas.node_count, tlas.inst_order,
+                       tlas.inv_transforms, tlas.world_lo, tlas.world_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -444,30 +424,42 @@ def _leaf_triangles(blas: Blas, ni: int, o, d, t_min, t_max, closed: bool):
     return t[slots], slots + s, u[slots], v[slots]
 
 
-def _blas_query(blas: Blas, o, d, t_min, t_max, closed: bool, first_only: bool):
-    """Walk one BLAS; returns (t, triangle_index, u, v) of the best hit or None.
+def _walk(tlas: Tlas, ray: Ray, closed: bool, first_hit_stops: bool):
+    """Walk both levels at once; returns (t, instance_id, triangle_index, u, v) or None.
 
-    With first_only the walk stops at any accepted hit (shadow rays).
+    Stack entries are (node arrays, node index, instance, origin,
+    direction): instance is None in the TLAS, where the ray is in world
+    space, and the owning TlasInstance in a BLAS, where the ray has been
+    moved into object space.  An instance leaf pushes its BLAS roots in
+    reverse slot order, so each instance is walked to the end before the
+    next.  Candidates compare by (t, instance_id, triangle_index); with
+    first_hit_stops the first accepted one is returned (shadow rays).
     """
     best = None
-    stack = [0]
+    stack = [(tlas, 0, None, ray.origin, ray.direction)]  # an empty TLAS is one empty leaf
     while stack:
-        ni = stack.pop()
-        limit = t_max if best is None else best[0]
-        if not _slab_hit(blas.node_lo[ni], blas.node_hi[ni], o, d, t_min, limit):
+        nodes, ni, inst, o, d = stack.pop()
+        limit = ray.t_max if best is None else best[0]
+        if not _slab_hit(nodes.node_lo[ni], nodes.node_hi[ni], o, d, ray.t_min, limit):
             continue
-        if blas.node_start[ni] >= 0:
-            ts, slots, us, vs = _leaf_triangles(blas, ni, o, d, t_min, limit, closed)
-            for t, slot, u, v in zip(ts, slots, us, vs):
-                tri = int(blas.tri_order[slot])
-                cand = (float(t), tri, float(u), float(v))
-                if best is None or cand[0] < best[0] or (cand[0] == best[0] and tri < best[1]):
-                    best = cand
-                    if first_only:
-                        return best
+        if nodes.node_start[ni] < 0:
+            stack.append((nodes, int(nodes.node_right[ni]), inst, o, d))
+            stack.append((nodes, int(nodes.node_left[ni]), inst, o, d))
+        elif inst is None:
+            s = int(tlas.node_start[ni])
+            for slot in reversed(range(s, s + int(tlas.node_count[ni]))):
+                k = int(tlas.inst_order[slot])
+                inv = tlas.inv_transforms[k]
+                stack.append((tlas.instances[k].blas, 0, tlas.instances[k],
+                              inv[:3, :3] @ o + inv[:3, 3], inv[:3, :3] @ d))
         else:
-            stack.append(int(blas.node_right[ni]))
-            stack.append(int(blas.node_left[ni]))
+            ts, slots, us, vs = _leaf_triangles(nodes, ni, o, d, ray.t_min, limit, closed)
+            for t, slot, u, v in zip(ts, slots, us, vs):
+                cand = (float(t), inst.instance_id, int(nodes.tri_order[slot]), float(u), float(v))
+                if best is None or cand[:3] < best[:3]:
+                    best = cand
+                    if first_hit_stops:
+                        return best
     return best
 
 
@@ -477,63 +469,13 @@ def ray_closest_hit(tlas: Tlas, ray: Ray) -> Hit | None:
     Ties on t resolve to the lower (instance id, triangle index) so the
     result is a pure function of the scene.
     """
-    best: Hit | None = None
-    o, d = ray.origin, ray.direction
-    stack = [0] if len(tlas.instances) else []
-    while stack:
-        ni = stack.pop()
-        limit = ray.t_max if best is None else best.t
-        if not _slab_hit(tlas.node_lo[ni], tlas.node_hi[ni], o, d, ray.t_min, limit):
-            continue
-        if tlas.node_start[ni] >= 0:
-            s = int(tlas.node_start[ni])
-            for slot in range(s, s + int(tlas.node_count[ni])):
-                inst_idx = int(tlas.inst_order[slot])
-                inst = tlas.instances[inst_idx]
-                inv = tlas.inv_transforms[inst_idx]
-                oo = inv[:3, :3] @ o + inv[:3, 3]
-                od = inv[:3, :3] @ d
-                limit = ray.t_max if best is None else best.t
-                got = _blas_query(inst.blas, oo, od, ray.t_min, limit, closed=True,
-                                  first_only=False)
-                if got is None:
-                    continue
-                t, tri, u, v = got
-                cand = Hit(t=t, instance_id=inst.instance_id, triangle_index=tri, u=u, v=v)
-                if (best is None or cand.t < best.t
-                        or (cand.t == best.t
-                            and (cand.instance_id, cand.triangle_index)
-                            < (best.instance_id, best.triangle_index))):
-                    best = cand
-        else:
-            stack.append(int(tlas.node_right[ni]))
-            stack.append(int(tlas.node_left[ni]))
-    return best
+    best = _walk(tlas, ray, closed=True, first_hit_stops=False)
+    return None if best is None else Hit(*best)
 
 
 def ray_any_hit(tlas: Tlas, ray: Ray) -> bool:
     """True if anything lies strictly inside (t_min, t_max)."""
-    o, d = ray.origin, ray.direction
-    stack = [0] if len(tlas.instances) else []
-    while stack:
-        ni = stack.pop()
-        if not _slab_hit(tlas.node_lo[ni], tlas.node_hi[ni], o, d, ray.t_min, ray.t_max):
-            continue
-        if tlas.node_start[ni] >= 0:
-            s = int(tlas.node_start[ni])
-            for slot in range(s, s + int(tlas.node_count[ni])):
-                inst_idx = int(tlas.inst_order[slot])
-                inst = tlas.instances[inst_idx]
-                inv = tlas.inv_transforms[inst_idx]
-                oo = inv[:3, :3] @ o + inv[:3, 3]
-                od = inv[:3, :3] @ d
-                if _blas_query(inst.blas, oo, od, ray.t_min, ray.t_max, closed=False,
-                               first_only=True) is not None:
-                    return True
-        else:
-            stack.append(int(tlas.node_right[ni]))
-            stack.append(int(tlas.node_left[ni]))
-    return False
+    return _walk(tlas, ray, closed=False, first_hit_stops=True) is not None
 
 
 def shadow_visibility(tlas: Tlas, point, normal, light_pos) -> float:
@@ -622,51 +564,39 @@ def brute_force_closest_hit(tlas: Tlas, ray: Ray) -> Hit | None:
 # ---------------------------------------------------------------------------
 # Debug dumps.
 
-def blas_dump_text(blas: Blas) -> str:
-    """One node per line, depth-first, with bounds and leaf triangle lists."""
-    lines = [f"blas geometry={blas.geometry_id} nodes={blas.node_total} "
-             f"compacted={blas.compacted}"]
-
-    def walk(ni: int, depth: int):
-        lo = blas.node_lo[ni]
-        hi = blas.node_hi[ni]
+def _dump_text(header: str, nodes: _Nodes, leaf_text) -> str:
+    """Header, then one line per node in pre-order; leaf_text(slot range) lists a leaf."""
+    lines = [header]
+    for ni, depth in _preorder(nodes):
+        lo = nodes.node_lo[ni]
+        hi = nodes.node_hi[ni]
         pad = "  " * depth
         box = (f"[{lo[0]:.6g} {lo[1]:.6g} {lo[2]:.6g}] "
                f"[{hi[0]:.6g} {hi[1]:.6g} {hi[2]:.6g}]")
-        if blas.node_start[ni] >= 0:
-            s = int(blas.node_start[ni])
-            tris = [int(blas.tri_order[k]) for k in range(s, s + int(blas.node_count[ni]))]
-            lines.append(f"{pad}leaf {ni} {box} tris={tris}")
+        if nodes.node_start[ni] >= 0:
+            s = int(nodes.node_start[ni])
+            slots = range(s, s + int(nodes.node_count[ni]))
+            lines.append(f"{pad}leaf {ni} {box} {leaf_text(slots)}")
         else:
             lines.append(f"{pad}node {ni} {box}")
-            walk(int(blas.node_left[ni]), depth + 1)
-            walk(int(blas.node_right[ni]), depth + 1)
-
-    walk(0, 0)
     return "\n".join(lines)
+
+
+def blas_dump_text(blas: Blas) -> str:
+    """One node per line, depth-first, with bounds and leaf triangle lists."""
+    return _dump_text(f"blas geometry={blas.geometry_id} nodes={blas.node_total} "
+                      f"compacted={blas.compacted}", blas,
+                      lambda slots: f"tris={[int(blas.tri_order[k]) for k in slots]}")
 
 
 def tlas_dump_text(tlas: Tlas) -> str:
-    lines = [f"tlas frame={tlas.frame_index} instances={len(tlas.instances)}"]
+    header = f"tlas frame={tlas.frame_index} instances={len(tlas.instances)}"
+    if not tlas.instances:
+        return header
 
-    def walk(ni: int, depth: int):
-        lo = tlas.node_lo[ni]
-        hi = tlas.node_hi[ni]
-        pad = "  " * depth
-        box = (f"[{lo[0]:.6g} {lo[1]:.6g} {lo[2]:.6g}] "
-               f"[{hi[0]:.6g} {hi[1]:.6g} {hi[2]:.6g}]")
-        if tlas.node_start[ni] >= 0:
-            s = int(tlas.node_start[ni])
-            ids = [tlas.instances[int(tlas.inst_order[k])].instance_id
-                   for k in range(s, s + int(tlas.node_count[ni]))]
-            names = [tlas.instances[int(tlas.inst_order[k])].node_name
-                     for k in range(s, s + int(tlas.node_count[ni]))]
-            lines.append(f"{pad}leaf {ni} {box} instances={ids} names={names}")
-        else:
-            lines.append(f"{pad}node {ni} {box}")
-            walk(int(tlas.node_left[ni]), depth + 1)
-            walk(int(tlas.node_right[ni]), depth + 1)
+    def leaf_text(slots):
+        insts = [tlas.instances[int(tlas.inst_order[k])] for k in slots]
+        return (f"instances={[inst.instance_id for inst in insts]} "
+                f"names={[inst.node_name for inst in insts]}")
 
-    if len(tlas.instances):
-        walk(0, 0)
-    return "\n".join(lines)
+    return _dump_text(header, tlas, leaf_text)

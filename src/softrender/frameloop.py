@@ -2,9 +2,9 @@
 
 Two frame slots alternate.  Frame f uses slot f % 2 and begins by
 flushing that slot's deletion queue, which still holds the finalizers
-frame f - 2 deferred; per-frame resources (the TLAS, the multisample
-target) are handed to the slot queue as lambdas instead of being freed
-mid-flight.  A third, loop-lifetime queue drains at shutdown.  Flushing
+frame f - 2 deferred, so a resource handed to a slot queue is not freed
+while a frame in flight may still use it.  A third, loop-lifetime queue
+(the multisample targets) drains at shutdown.  Flushing
 runs finalizers in reverse push order so dependents are released before
 what they depend on.
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .accel import Blas, TlasInstance, build_blas, build_tlas, compact_blas
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .framebuffer import SAMPLE_POSITIONS, create_framebuffer, resolve_msaa, write_image
 from .fxaa import fxaa_pass
 from .overlay import overlay_pass
@@ -169,11 +169,12 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     """Render a frame sequence; returns (images, timings, stats).
 
     pose_source, when given, is called once per frame and must return a
-    TransformSnapshot; raising keeps the previous pose and counts a
-    warning.  on_frame(frame_index, resources) runs inside each frame
-    after pose application, mainly so callers can push work onto the
-    deletion queues.  With output_prefix set, every frame is also
-    written to '{prefix}-frame-{index:04d}.{format}'.
+    TransformSnapshot; raising, or returning a snapshot with a non-finite
+    or singular matrix, keeps the previous pose and counts a warning.
+    on_frame(frame_index, resources) runs inside each frame after pose
+    application, mainly so callers can push work onto the deletion queues.
+    With output_prefix set, every frame is also written to
+    '{prefix}-frame-{index:04d}.{format}'.
     """
     if not scene.world:
         refresh_world_transforms(scene)
@@ -184,7 +185,6 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     stats = FrameStats()
     images = []
     timings = []
-    tlas = None
     loop_start = time.perf_counter()
 
     for i in range(frames):
@@ -196,15 +196,18 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
             except Exception:
                 stats.pose_warnings += 1
             else:
-                stats.unmatched_poses += apply_transform_table(scene, snapshot)
-                stats.pose_generations.append(snapshot.generation)
+                try:
+                    stats.unmatched_poses += apply_transform_table(scene, snapshot)
+                except ValidationError:
+                    stats.pose_warnings += 1
+                else:
+                    stats.pose_generations.append(snapshot.generation)
         if on_frame is not None:
             on_frame(i, resources)
 
         t0 = time.perf_counter()
         instances = make_tlas_instances(scene, blases)
         tlas = build_tlas(instances, frame_index=i)
-        resources.slot_queues[slot].push(lambda t=tlas: None)  # release with slot
         t1 = time.perf_counter()
 
         draws = build_draw_list(scene)

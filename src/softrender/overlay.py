@@ -65,7 +65,6 @@ _GLYPH_ROWS = {
 
 FONT = {ch: np.array([[c == "#" for c in row] for row in rows], dtype=bool)
         for ch, rows in _GLYPH_ROWS.items()}
-_BLANK = np.zeros((CELL, CELL), dtype=bool)
 
 # glyphs indexed by ASCII code so a whole line renders as one gather;
 # codes without a glyph stay blank cells

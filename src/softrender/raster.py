@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from .framebuffer import SAMPLE_POSITIONS, Framebuffer, clear_framebuffer, creat
 from .linalg import normal_matrix, normalize, perspective, transform_points
 from .scene import Camera, Scene
 from .shading import ShadingSample, linear_to_srgb, reinhard_tonemap, shade_direct
+
+if TYPE_CHECKING:  # frameloop imports this module
+    from .frameloop import RenderConfig
 
 
 @dataclass(frozen=True)
@@ -353,43 +357,37 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
             fb.depth[y_lo:y_hi, x_lo:x_hi, s][ok] = z_grids[s][ok].astype(np.float32)
 
 
-def main_pass(scene: Scene, tlas, config, arena: VertexArena | None = None,
+def main_pass(scene: Scene, tlas, config: RenderConfig, arena: VertexArena | None = None,
               draws: list[DrawCommand] | None = None,
               fb: Framebuffer | None = None) -> Framebuffer:
     """Render the scene into a (possibly recycled) multisampled target.
 
-    config carries width/height/msaa/shadows/camera/workers and the
-    culling switches; see the frame loop's RenderConfig.  Passing an
-    arena or a prebuilt draw list is optional; outputs are identical
-    either way.
+    Passing an arena or a prebuilt draw list is optional; outputs are
+    identical either way.
     """
     if fb is None:
         fb = create_framebuffer(config.width, config.height, config.msaa)
-    camera = select_camera(scene, getattr(config, "camera", None))
+    camera = select_camera(scene, config.camera)
     view, proj, eye = camera_matrices(scene, camera, fb.width, fb.height)
 
-    clear = config.clear_color if getattr(config, "clear_color", None) is not None \
-        else scene.clear_color
+    clear = scene.clear_color if config.clear_color is None else config.clear_color
     clear_framebuffer(fb, linear_to_srgb(np.asarray(clear, dtype=np.float64)))
 
     if draws is None:
         draws = build_draw_list(scene)
     batch = _geometry_stage(scene, draws, arena, view, proj, fb.width, fb.height,
-                            getattr(config, "frustum_culling", False),
-                            getattr(config, "backface_culling", False))
+                            config.frustum_culling, config.backface_culling)
     if batch.count == 0:
         return fb
 
-    workers = max(int(getattr(config, "workers", 1)), 1)
-    workers = min(workers, fb.height)
+    workers = min(config.workers, fb.height)
     band = (fb.height + workers - 1) // workers
     bands = [(b, min(b + band, fb.height)) for b in range(0, fb.height, band)]
-    shadows = bool(getattr(config, "shadows", False))
     if workers == 1:
         for y0, y1 in bands:
-            _raster_band(fb, batch, scene, tlas, eye, shadows, y0, y1)
+            _raster_band(fb, batch, scene, tlas, eye, config.shadows, y0, y1)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda b: _raster_band(fb, batch, scene, tlas, eye,
-                                                 shadows, b[0], b[1]), bands))
+                                                 config.shadows, b[0], b[1]), bands))
     return fb

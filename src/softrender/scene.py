@@ -182,12 +182,21 @@ def apply_transform_table(scene: Scene, snapshot) -> int:
     Matching is by node name; the hierarchy is bypassed on purpose since
     the table carries world-space matrices.  Returns the number of
     snapshot records that matched no scene node (non-fatal, surfaced in
-    frame stats).
+    frame stats).  Raises ValidationError, leaving the scene untouched,
+    if any matrix in the snapshot is non-finite or singular.
     """
+    mats = np.array([np.asarray(mat, dtype=np.float64).reshape(4, 4)
+                     for _, mat in snapshot.entries]).reshape(-1, 4, 4)
+    if not np.all(np.isfinite(mats)):
+        raise ValidationError("pose snapshot holds a non-finite matrix")
+    try:
+        np.linalg.inv(mats)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"pose snapshot holds a singular matrix ({exc})") from exc
     unmatched = 0
-    for name, mat in snapshot.entries:
+    for (name, _), mat in zip(snapshot.entries, mats):
         if name in scene.world:
-            scene.world[name] = np.asarray(mat, dtype=np.float64).reshape(4, 4).copy()
+            scene.world[name] = mat.copy()
         else:
             unmatched += 1
     return unmatched

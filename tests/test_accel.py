@@ -71,8 +71,12 @@ def shell_rays(rng, count, radius=8.0, target_spread=2.5, unit_dirs=True):
     return rays
 
 
-def solve_oracle_closest(tlas, ray):
-    """Independent intersector: LU solve of u e1 + v e2 - t d = o - v0."""
+def solve_oracle_closest(tlas, ray, closed=True):
+    """Independent intersector: LU solve of u e1 + v e2 - t d = o - v0.
+
+    closed=True tests t against [t_min, t_max] (closest-hit), False
+    against (t_min, t_max) (any-hit).
+    """
     tris, inst_ids, tri_ids = all_world_triangles(tlas)
     best = None
     for verts, instance_id, tri_index in zip(tris, inst_ids, tri_ids):
@@ -84,7 +88,7 @@ def solve_oracle_closest(tlas, ray):
         u, v, t = np.linalg.solve(a, np.asarray(ray.origin, dtype=np.float64) - v0)
         if u < -1e-10 or v < -1e-10 or u + v > 1.0 + 1e-10:
             continue
-        if t < ray.t_min or t > ray.t_max:
+        if (t < ray.t_min or t > ray.t_max) if closed else (t <= ray.t_min or t >= ray.t_max):
             continue
         key = (float(t), int(instance_id), int(tri_index))
         if best is None or key < best:
@@ -309,6 +313,27 @@ def test_any_hit_agrees_with_closest_hit():
             assert not any_hit
         elif ray.t_min < closest.t < ray.t_max:
             assert any_hit
+
+
+def test_any_hit_matches_linear_solve_oracle_on_finite_segments():
+    rng = np.random.default_rng(45)
+    tlas = two_instance_tlas(rng, tri_count=250)
+    hits = ends_before = ends_inside = 0
+    for ray in shell_rays(rng, 150):
+        first = solve_oracle_closest(tlas, ray)
+        ray.t_max = float(rng.uniform(2.0, 12.0))
+        want = solve_oracle_closest(tlas, ray, closed=False) is not None
+        assert ray_any_hit(tlas, ray) == want
+        hits += want
+        end = ray.origin + ray.t_max * ray.direction
+        if first is not None and ray.t_max < first[0]:
+            ends_before += 1
+        elif np.all(end >= tlas.root_aabb.lo) and np.all(end <= tlas.root_aabb.hi):
+            ends_inside += 1
+    # both kinds of segment occur: stopping short of the first triangle,
+    # and stopping inside the soup's bounds
+    assert hits > 10 and ends_before > 10 and ends_inside > 10, \
+        (hits, ends_before, ends_inside)
 
 
 def test_hit_t_is_in_world_units_under_scaled_instance():

@@ -226,6 +226,26 @@ def test_pose_source_failure_keeps_previous_pose():
     assert ppm_bytes(images[2]) != ppm_bytes(images[0])
 
 
+@pytest.mark.parametrize("bad", [np.full((4, 4), np.nan), np.zeros((4, 4))],
+                         ids=["nan", "singular"])
+def test_invalid_pose_keeps_previous_pose(bad):
+    scene = make_triangle_scene()
+    calls = {"n": 0}
+
+    def poses():
+        i = calls["n"]
+        calls["n"] += 1
+        mat = bad if i == 1 else translate(0.4 * i, 0, 0)
+        return FakeSnapshot(entries=[("tri", mat)], generation=2 * i)
+
+    images, _, stats = run_frame_loop(scene, small_config(), frames=3,
+                                      pose_source=poses)
+    assert stats.pose_warnings == 1
+    assert stats.pose_generations == [0, 4]  # the rejected snapshot records nothing
+    assert ppm_bytes(images[1]) == ppm_bytes(images[0])
+    assert ppm_bytes(images[2]) != ppm_bytes(images[0])
+
+
 def test_unmatched_pose_entries_counted_per_frame():
     scene = make_triangle_scene()
 

@@ -178,6 +178,19 @@ def test_apply_copies_matrix_not_reference():
     assert scene.world["root"][0, 3] == 4.0
 
 
+@pytest.mark.parametrize("bad", [np.full((4, 4), np.inf), np.zeros((4, 4))],
+                         ids=["non-finite", "singular"])
+def test_apply_rejects_bad_matrix_before_writing_any(bad):
+    scene = chain_scene()
+    refresh_world_transforms(scene)
+    before = {k: v.copy() for k, v in scene.world.items()}
+    with pytest.raises(ValidationError):
+        apply_transform_table(scene, FakeSnapshot([("root", translate(7, 7, 7)),
+                                                   ("leaf", bad)]))
+    for name, mat in before.items():
+        np.testing.assert_array_equal(scene.world[name], mat)
+
+
 # ------------------------------------------------------- duplication
 
 def test_duplicate_zero_doublings_is_plain_copy():
