@@ -1,12 +1,14 @@
 """Two-level bounding volume hierarchy for ray queries.
 
 A Blas (bottom level) is built once per geometry over object-space
-triangles with a binned surface-area heuristic.  A Tlas (top level) is
-rebuilt from scratch every frame over the world-space boxes of the
-instances; rays are transformed into object space at instance leaves, so
-hit distances stay parameterized in world units.  One walk over both
-levels serves closest-hit and any-hit queries, and one pre-order walk
-serves compaction and the debug dumps.
+triangles with a binned surface-area heuristic, whose split search
+sweeps every (axis, bin) at once.  A Tlas (top level) is rebuilt from
+scratch every frame over the world-space boxes of the instances, working
+on stacked instance arrays: one corner transform gives every world box
+and one batched inversion every inverse.  Rays are transformed into
+object space at instance leaves, so hit distances stay parameterized in
+world units.  One walk over both levels serves closest-hit and any-hit
+queries, and one pre-order walk serves compaction and the debug dumps.
 
 Conventions that tests rely on:
   - Intersection uses the Moller-Trumbore form with determinant cutoff
@@ -29,6 +31,14 @@ SHADOW_OFFSET = 1e-4
 SAH_BINS = 16
 LEAF_MAX_TRIS = 4
 LEAF_MAX_INSTANCES = 2
+# corner c of a box takes hi on axis k where bit (2 - k) of c is set
+_CORNER_IS_HI = ((np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1).astype(bool)
+
+
+def _surface_area(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Surface area of boxes along the last axis; an inverted box has 0."""
+    d = np.maximum(hi - lo, 0.0)
+    return 2.0 * (d[..., 0] * d[..., 1] + d[..., 1] * d[..., 2] + d[..., 2] * d[..., 0])
 
 
 @dataclass
@@ -47,15 +57,11 @@ class Aabb:
         return bool(np.all(other.lo >= self.lo - eps) and np.all(other.hi <= self.hi + eps))
 
     def surface_area(self) -> float:
-        d = np.maximum(self.hi - self.lo, 0.0)
-        return float(2.0 * (d[0] * d[1] + d[1] * d[2] + d[2] * d[0]))
+        return float(_surface_area(self.lo, self.hi))
 
     def corners(self) -> np.ndarray:
         """(8, 3) corner points."""
-        lo, hi = self.lo, self.hi
-        return np.array([[x, y, z] for x in (lo[0], hi[0])
-                         for y in (lo[1], hi[1])
-                         for z in (lo[2], hi[2])])
+        return np.where(_CORNER_IS_HI, self.hi, self.lo)
 
 
 @dataclass
@@ -159,47 +165,35 @@ def _build_bvh(box_lo: np.ndarray, box_hi: np.ndarray, leaf_max: int):
 def _sah_split(lo: np.ndarray, hi: np.ndarray, centroids: np.ndarray):
     """Best 16-bin SAH split over all three axes, or None if no axis works.
 
-    Cost for splitting after bin b is area_L * n_L + area_R * n_R; ties
-    resolve to the lower axis then the lower bin, so the partition is a
-    pure function of the input boxes.
+    Cost for splitting after bin b is area_L * n_L + area_R * n_R, taken
+    for every (axis, bin) at once from prefix and suffix sweeps over the
+    bins; ties resolve to the lower axis then the lower bin, so the
+    partition is a pure function of the input boxes.
     """
-    n = len(lo)
     cmin = centroids.min(axis=0)
-    cmax = centroids.max(axis=0)
-    best_cost = math.inf
-    best_mask = None
-    for axis in range(3):
-        extent = cmax[axis] - cmin[axis]
-        if extent <= 0.0:
-            continue
-        rel = (centroids[:, axis] - cmin[axis]) / extent
-        bins = np.minimum((rel * SAH_BINS).astype(np.int64), SAH_BINS - 1)
-        bin_lo = np.full((SAH_BINS, 3), np.inf)
-        bin_hi = np.full((SAH_BINS, 3), -np.inf)
-        np.minimum.at(bin_lo, bins, lo)
-        np.maximum.at(bin_hi, bins, hi)
-        bin_n = np.bincount(bins, minlength=SAH_BINS)
-
-        left_lo = np.minimum.accumulate(bin_lo, axis=0)
-        left_hi = np.maximum.accumulate(bin_hi, axis=0)
-        right_lo = np.minimum.accumulate(bin_lo[::-1], axis=0)[::-1]
-        right_hi = np.maximum.accumulate(bin_hi[::-1], axis=0)[::-1]
-        left_n = np.cumsum(bin_n)
-
-        for b in range(SAH_BINS - 1):
-            nl = left_n[b]
-            nr = n - nl
-            if nl == 0 or nr == 0:
-                continue
-            dl = np.maximum(left_hi[b] - left_lo[b], 0.0)
-            dr = np.maximum(right_hi[b + 1] - right_lo[b + 1], 0.0)
-            al = 2.0 * (dl[0] * dl[1] + dl[1] * dl[2] + dl[2] * dl[0])
-            ar = 2.0 * (dr[0] * dr[1] + dr[1] * dr[2] + dr[2] * dr[0])
-            cost = al * nl + ar * nr
-            if cost < best_cost:
-                best_cost = cost
-                best_mask = bins <= b
-    return best_mask
+    extent = centroids.max(axis=0) - cmin
+    # a zero-extent axis bins everything at 0, so all its right sides are empty
+    rel = (centroids - cmin) / np.where(extent > 0.0, extent, 1.0)
+    bins = np.minimum((rel * SAH_BINS).astype(np.int64), SAH_BINS - 1)  # (n, axis)
+    at = (np.arange(3), bins)
+    bin_lo = np.full((3, SAH_BINS, 3), np.inf)
+    bin_hi = np.full((3, SAH_BINS, 3), -np.inf)
+    bin_n = np.zeros((3, SAH_BINS), dtype=np.int64)
+    np.minimum.at(bin_lo, at, lo[:, None])
+    np.maximum.at(bin_hi, at, hi[:, None])
+    np.add.at(bin_n, at, 1)
+    nl = np.cumsum(bin_n, axis=1)[:, :-1]
+    nr = len(lo) - nl
+    al = _surface_area(np.minimum.accumulate(bin_lo, axis=1),
+                       np.maximum.accumulate(bin_hi, axis=1))[:, :-1]
+    ar = _surface_area(np.minimum.accumulate(bin_lo[:, ::-1], axis=1),
+                       np.maximum.accumulate(bin_hi[:, ::-1], axis=1))[:, ::-1][:, 1:]
+    cost = np.where((nl > 0) & (nr > 0), al * nl + ar * nr, np.inf)
+    best = int(np.argmin(cost))  # first minimum in axis-major order
+    if not cost.flat[best] < np.inf:
+        return None
+    axis, b = divmod(best, SAH_BINS - 1)
+    return bins[:, axis] <= b
 
 
 @dataclass
@@ -338,13 +332,6 @@ class Tlas(_Nodes):
     frame_index: int = 0
 
 
-def instance_world_aabb(instance: TlasInstance) -> Aabb:
-    """Transform the 8 corners of the BLAS root box to world space."""
-    corners = instance.blas.root_aabb.corners()
-    world = corners @ instance.transform[:3, :3].T + instance.transform[:3, 3]
-    return Aabb(world.min(axis=0), world.max(axis=0))
-
-
 def build_tlas(instances: list[TlasInstance], frame_index: int = 0) -> Tlas:
     """Full rebuild over the instance list; no incremental refit."""
     if not instances:
@@ -355,13 +342,16 @@ def build_tlas(instances: list[TlasInstance], frame_index: int = 0) -> Tlas:
                     inv_transforms=np.zeros((0, 4, 4)),
                     world_lo=np.zeros((0, 3)), world_hi=np.zeros((0, 3)),
                     frame_index=frame_index)
-    boxes = [instance_world_aabb(inst) for inst in instances]
-    world_lo = np.array([b.lo for b in boxes])
-    world_hi = np.array([b.hi for b in boxes])
+    transforms = np.array([inst.transform for inst in instances])
+    root_lo = np.array([inst.blas.node_lo[0] for inst in instances])
+    root_hi = np.array([inst.blas.node_hi[0] for inst in instances])
+    corners = np.where(_CORNER_IS_HI, root_hi[:, None], root_lo[:, None])
+    world = corners @ transforms[:, :3, :3].transpose(0, 2, 1) + transforms[:, None, :3, 3]
+    world_lo = world.min(axis=1)
+    world_hi = world.max(axis=1)
     *nodes, order = _build_bvh(world_lo, world_hi, LEAF_MAX_INSTANCES)
-    inv = np.array([np.linalg.inv(inst.transform) for inst in instances])
     return Tlas(*nodes, instances=list(instances),
-                inst_order=order, inv_transforms=inv,
+                inst_order=order, inv_transforms=np.linalg.inv(transforms),
                 world_lo=world_lo, world_hi=world_hi,
                 frame_index=frame_index)
 

@@ -169,8 +169,9 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     """Render a frame sequence; returns (images, timings, stats).
 
     pose_source, when given, is called once per frame and must return a
-    TransformSnapshot; raising, or returning a snapshot with a non-finite
-    or singular matrix, keeps the previous pose and counts a warning.
+    TransformSnapshot; raising, or returning a snapshot with a matrix that
+    is not 16 values, non-finite or singular, keeps the previous pose and
+    counts a warning.
     on_frame(frame_index, resources) runs inside each frame after pose
     application, mainly so callers can push work onto the deletion queues.
     With output_prefix set, every frame is also written to

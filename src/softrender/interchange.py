@@ -10,11 +10,12 @@ Region layout (all little-endian, sizes in bytes):
   offset 16  u64  generation: even = stable, odd = write in progress
   offset 24  40B  reserved lock slot (zeroed; see below)
   offset 64  node records, 128 bytes each:
-               64B zero-padded UTF-8 node name
+               64B zero-padded UTF-8 node name (no NUL inside)
                64B 4x4 float32 matrix, column-major
 
-Total size is 64 + 128 * node_count.  The roster of names is fixed at
-creation; only matrices and the generation change afterwards.
+Total size is 64 + 128 * node_count.  The records are read and written
+as one numpy structured dtype, all nodes at once.  The roster of names is
+fixed at creation; only matrices and the generation change afterwards.
 
 Cross-process exclusion uses fcntl.flock on the backing file instead of
 a mutex inside the reserved slot (portable from pure Python; the slot
@@ -51,6 +52,8 @@ LOCK_SLOT_SIZE = 40
 DEFAULT_READ_RETRIES = 1000
 
 _HEADER = struct.Struct("<IIII Q")  # magic, version, node_count, reserved, generation
+# zero-padded name, then the matrix in column-major order
+_RECORD = np.dtype([("name", f"S{NAME_BYTES}"), ("matrix", "<f4", (16,))])
 
 
 def region_size(node_count: int) -> int:
@@ -70,25 +73,25 @@ def unlink_region(name: str, missing_ok: bool = True) -> None:
 
 
 def _encode_name(name: str) -> bytes:
-    raw = name.encode("utf-8")
-    if not raw or len(raw) > NAME_BYTES - 1:
-        raise ValidationError(f"node name '{name}' must be 1..{NAME_BYTES - 1} UTF-8 bytes")
-    return raw.ljust(NAME_BYTES, b"\x00")
-
-
-def _encode_matrix(mat) -> bytes:
-    m = np.asarray(mat, dtype=np.float64).reshape(4, 4)
-    return m.flatten(order="F").astype("<f4").tobytes()
+    try:
+        raw = name.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        raw = b""
+    if not raw or len(raw) > NAME_BYTES - 1 or b"\x00" in raw:
+        raise ValidationError(f"node name {name!r} must be 1..{NAME_BYTES - 1} UTF-8 bytes "
+                              "without NUL")
+    return raw
 
 
 def _decode_records(buf: bytes, node_count: int):
-    entries = []
-    for i in range(node_count):
-        rec = buf[i * RECORD_SIZE:(i + 1) * RECORD_SIZE]
-        name = rec[:NAME_BYTES].rstrip(b"\x00").decode("utf-8")
-        mat = np.frombuffer(rec[NAME_BYTES:], dtype="<f4", count=16)
-        entries.append((name, mat.astype(np.float64).reshape((4, 4), order="F")))
-    return entries
+    records = np.frombuffer(buf, dtype=_RECORD, count=node_count)
+    try:
+        names = np.char.decode(records["name"], "utf-8").tolist()
+    except UnicodeDecodeError as exc:
+        raise IncompatibleRegionError(f"region holds a node name that is not UTF-8 ({exc})") \
+            from None
+    mats = records["matrix"].reshape(-1, 4, 4).transpose(0, 2, 1).astype(np.float64)
+    return list(zip(names, mats))
 
 
 @dataclass
@@ -121,16 +124,15 @@ class TransformTableWriter:
         self._fd = fd
         os.ftruncate(fd, size)
         self._mm = mmap.mmap(fd, size)
+        self._records = np.frombuffer(self._mm, dtype=_RECORD, count=len(names),
+                                      offset=HEADER_SIZE)
         # born at generation 1 (write in progress): an attacher racing
         # creation sees magic 0 (attach fails, retry) or an odd
         # generation (read_frame spins) until the records are real
         self._mm[:HEADER_SIZE] = _HEADER.pack(MAGIC, VERSION, len(names), 0, 1) \
             + b"\x00" * (HEADER_SIZE - _HEADER.size)
-        identity = _encode_matrix(np.eye(4))
-        for i, raw in enumerate(encoded):
-            base = HEADER_SIZE + i * RECORD_SIZE
-            self._mm[base:base + NAME_BYTES] = raw
-            self._mm[base + NAME_BYTES:base + RECORD_SIZE] = identity
+        self._records["name"] = encoded
+        self._records["matrix"] = np.eye(4).ravel()
         self._set_generation(0)
 
     @property
@@ -149,14 +151,13 @@ class TransformTableWriter:
         missing = [n for n in self.node_names if n not in table]
         if missing:
             raise ValidationError(f"write_frame missing transforms for {missing}")
-        payload = [_encode_matrix(table[n]) for n in self.node_names]
+        mats = np.array([np.reshape(table[n], (4, 4)) for n in self.node_names],
+                        dtype=np.float64).reshape(-1, 4, 4)
         fcntl.flock(self._fd, fcntl.LOCK_EX)
         try:
             gen = self.generation
             self._set_generation(gen + 1)  # odd: write in progress
-            for i, raw in enumerate(payload):
-                base = HEADER_SIZE + i * RECORD_SIZE + NAME_BYTES
-                self._mm[base:base + 64] = raw
+            self._records["matrix"] = mats.transpose(0, 2, 1).reshape(-1, 16)
             self._set_generation(gen + 2)
             return gen + 2
         finally:
@@ -164,6 +165,7 @@ class TransformTableWriter:
 
     def close(self, unlink: bool = True) -> None:
         if self._mm is not None:
+            self._records = None  # an exported view would make close() raise BufferError
             self._mm.close()
             self._mm = None
         if self._fd is not None:

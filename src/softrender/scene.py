@@ -183,10 +183,13 @@ def apply_transform_table(scene: Scene, snapshot) -> int:
     the table carries world-space matrices.  Returns the number of
     snapshot records that matched no scene node (non-fatal, surfaced in
     frame stats).  Raises ValidationError, leaving the scene untouched,
-    if any matrix in the snapshot is non-finite or singular.
+    if any matrix in the snapshot is not 16 values, non-finite or singular.
     """
-    mats = np.array([np.asarray(mat, dtype=np.float64).reshape(4, 4)
-                     for _, mat in snapshot.entries]).reshape(-1, 4, 4)
+    try:
+        mats = np.array([np.reshape(mat, (4, 4)) for _, mat in snapshot.entries],
+                        dtype=np.float64).reshape(-1, 4, 4)
+    except ValueError as exc:
+        raise ValidationError(f"pose snapshot holds a matrix that is not 4x4 ({exc})") from exc
     if not np.all(np.isfinite(mats)):
         raise ValidationError("pose snapshot holds a non-finite matrix")
     try:

@@ -6,6 +6,7 @@ independent oracles: the module's own world-space brute-force scan
 intersector implemented in this file.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,6 @@ from softrender.accel import (
     build_blas,
     build_tlas,
     compact_blas,
-    instance_world_aabb,
     ray_any_hit,
     ray_closest_hit,
     serialize_blas,
@@ -33,7 +33,7 @@ from softrender.accel import (
     tlas_dump_text,
 )
 from softrender.linalg import rotate_y, rotate_z, translate, scale
-from softrender.procedural import plane_geometry, sphere_geometry
+from softrender.procedural import cube_geometry, plane_geometry, sphere_geometry
 
 
 # ---------------------------------------------------------------- fixtures
@@ -220,16 +220,19 @@ def test_single_identity_instance_tlas_root_equals_blas_root():
     np.testing.assert_allclose(tlas.root_aabb.hi, blas.root_aabb.hi)
 
 
-def test_instance_world_aabb_bounds_transformed_vertices():
+def test_tlas_world_bounds_cover_transformed_vertices():
     rng = np.random.default_rng(16)
     pos, tri = triangle_soup(rng, 128)
     blas = build_blas(pos, tri)
-    m = translate(3, 1, -2) @ rotate_y(0.9) @ rotate_z(0.4)
-    inst = TlasInstance(blas=blas, transform=m, node_name="n", instance_id=0)
-    box = instance_world_aabb(inst)
-    world_pts = pos @ m[:3, :3].T + m[:3, 3]
-    assert np.all(world_pts >= box.lo - 1e-9)
-    assert np.all(world_pts <= box.hi + 1e-9)
+    transforms = [translate(3, 1, -2) @ rotate_y(0.9) @ rotate_z(0.4),
+                  translate(-1, 4, 0.5) @ scale(0.5, 2.0, 1.5) @ rotate_z(-1.2)]
+    tlas = build_tlas([TlasInstance(blas=blas, transform=m, node_name=f"n{k}", instance_id=k)
+                       for k, m in enumerate(transforms)])
+    for k, m in enumerate(transforms):
+        world_pts = pos @ m[:3, :3].T + m[:3, 3]
+        assert np.all(world_pts >= tlas.world_lo[k] - 1e-9)
+        assert np.all(world_pts <= tlas.world_hi[k] + 1e-9)
+        np.testing.assert_allclose(tlas.inv_transforms[k] @ m, np.eye(4), atol=1e-12)
 
 
 def test_tlas_leaf_instance_budget_and_rebuild_determinism():
@@ -251,6 +254,65 @@ def test_tlas_leaf_instance_budget_and_rebuild_determinism():
         s, c = int(t1.node_start[ni]), int(t1.node_count[ni])
         collected.extend(t1.inst_order[s:s + c].tolist())
     assert sorted(collected) == list(range(12))
+
+
+def unit_cubes(centers):
+    blas = build_blas(cube_geometry(1.0).positions, cube_geometry(1.0).triangles)
+    return [TlasInstance(blas=blas, transform=translate(*c), node_name=f"c{k}", instance_id=k)
+            for k, c in enumerate(centers)]
+
+
+@pytest.mark.parametrize("centers, left", [
+    # splitting on x or on y costs the same: the lower axis wins
+    ([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0)], [0, 2]),
+    # after bin 0 and after bin 8 cost the same: the lower bin wins
+    ([(0, 0, 0), (2, 0, 0), (4, 0, 0)], [0]),
+], ids=["axis-tie", "bin-tie"])
+def test_sah_ties_resolve_to_lower_axis_then_lower_bin(centers, left):
+    tlas = build_tlas(unit_cubes(centers))
+    ni = int(tlas.node_left[0])
+    s, c = int(tlas.node_start[ni]), int(tlas.node_count[ni])
+    assert s >= 0
+    assert sorted(tlas.inst_order[s:s + c].tolist()) == left
+
+
+def test_coincident_centroids_take_the_median_split():
+    pos = np.tile([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]], (10, 1))
+    blas = build_blas(pos, np.arange(30).reshape(-1, 3))
+    leaves = np.flatnonzero(blas.node_start >= 0)
+    assert blas.node_count[leaves].tolist() == [2, 3, 2, 3]  # 10 -> 5 + 5 -> 2 + 3 each
+    assert np.all(blas.node_count[leaves] <= LEAF_MAX_TRIS)
+    collected = []
+    for ni in leaves:
+        s, c = int(blas.node_start[ni]), int(blas.node_count[ni])
+        collected.extend(blas.tri_order[s:s + c].tolist())
+    assert sorted(collected) == list(range(10))
+
+
+# sha256 of the serialized builds below, recorded from the per-axis,
+# per-bin loop form of the SAH search and the per-instance TLAS build:
+# the whole-array forms must reproduce every split, box and inverse.
+PINNED_BUILD_SHA256 = {
+    "blas": "501f28e43e00dab596f54d31235f211eade91863baf1b2cbdc19bf75ea10fac3",
+    "compact_blas": "a4700ac6ed88d8b870d41829003d7b780735d85f75ea132cb8d99b973f381d0e",
+    "tlas": "8ff45a5b550b9700bf79607d553b56e8281e4b9621547f5e1e963fe28d5a6a31",
+}
+
+
+def test_serialized_builds_match_pinned_sha256():
+    rng = np.random.default_rng(20)
+    blas = build_blas(*triangle_soup(rng, 300))
+    instances = [TlasInstance(blas=blas, node_name=f"n{i}", instance_id=i,
+                              transform=translate(*rng.uniform(-6.0, 6.0, 3)) @ rotate_y(0.3 * i))
+                 for i in range(24)]
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    assert {"blas": sha(serialize_blas(blas)),
+            "compact_blas": sha(serialize_blas(compact_blas(blas))),
+            "tlas": sha(serialize_tlas(build_tlas(instances, frame_index=5)))} \
+        == PINNED_BUILD_SHA256
 
 
 # ---------------------------------------------------------------- traversal

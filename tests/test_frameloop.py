@@ -226,8 +226,8 @@ def test_pose_source_failure_keeps_previous_pose():
     assert ppm_bytes(images[2]) != ppm_bytes(images[0])
 
 
-@pytest.mark.parametrize("bad", [np.full((4, 4), np.nan), np.zeros((4, 4))],
-                         ids=["nan", "singular"])
+@pytest.mark.parametrize("bad", [np.full((4, 4), np.nan), np.zeros((4, 4)), np.eye(3)],
+                         ids=["nan", "singular", "wrong-size"])
 def test_invalid_pose_keeps_previous_pose(bad):
     scene = make_triangle_scene()
     calls = {"n": 0}

@@ -16,6 +16,8 @@ import uuid
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softrender.errors import (
     ContentionError,
@@ -28,6 +30,7 @@ from softrender.interchange import (
     GENERATION_OFFSET,
     HEADER_SIZE,
     MAGIC,
+    NAME_BYTES,
     RECORD_SIZE,
     VERSION,
     attach_table,
@@ -183,6 +186,8 @@ def test_overlong_and_empty_names_rejected(region_name):
         create_table(region_name, ["x" * 64])
     with pytest.raises(ValidationError):
         create_table(region_name, [""])
+    with pytest.raises(ValidationError):  # zero padding would strip it on read
+        create_table(region_name, ["a", "a\x00"])
     create_table(region_name, ["y" * 63]).close()  # longest legal name
 
 
@@ -268,8 +273,71 @@ def test_stuck_odd_generation_times_out(region_name):
         writer.close()
 
 
+def test_non_utf8_name_is_incompatible(region_name):
+    writer = create_table(region_name, ["n"])
+    reader = attach_table(region_name)
+    try:
+        with open(writer.path, "r+b") as f:
+            f.seek(HEADER_SIZE)
+            f.write(b"\xff\xfe")  # first record's name: not UTF-8
+        with pytest.raises(IncompatibleRegionError, match="UTF-8"):
+            reader.read_frame()
+    finally:
+        reader.close()
+        writer.close()
+
+
 def test_default_retry_budget():
     assert DEFAULT_READ_RETRIES == 1000
+
+
+# ------------------------------------------------- record properties
+
+def legal_name(name: str) -> bool:
+    try:
+        raw = name.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return 1 <= len(raw) <= NAME_BYTES - 1 and b"\x00" not in raw
+
+
+_legal_names = st.text(st.characters(codec="utf-8", exclude_characters="\x00"),
+                       min_size=1, max_size=NAME_BYTES - 1).filter(legal_name)
+# any float64 in float32's finite range; writing rounds it to float32
+_matrices = st.lists(st.floats(-3.4e38, 3.4e38), min_size=16, max_size=16).map(
+    lambda vals: np.array(vals).reshape(4, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_legal_names, _matrices), min_size=1, max_size=6,
+                unique_by=lambda pair: pair[0]))
+def test_records_round_trip(pairs):
+    name = f"test-{uuid.uuid4().hex[:12]}"
+    writer = create_table(name, [n for n, _ in pairs])
+    reader = attach_table(name)
+    try:
+        writer.write_frame(pairs)
+        snap = reader.read_frame()
+    finally:
+        reader.close()
+        writer.close()
+    assert [n for n, _ in snap.entries] == [n for n, _ in pairs]
+    for (_, got), (_, mat) in zip(snap.entries, pairs):
+        np.testing.assert_array_equal(got, mat.astype(np.float32).astype(np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(st.characters(), max_size=NAME_BYTES + 4), min_size=1, max_size=3))
+def test_roster_names_fail_only_with_validation_error(names):
+    name = f"test-{uuid.uuid4().hex[:12]}"
+    legal = len(set(names)) == len(names) and all(legal_name(n) for n in names)
+    try:
+        create_table(name, names).close()
+    except ValidationError:
+        assert not legal
+        assert not region_path(name).exists()
+    else:
+        assert legal
 
 
 # ----------------------------------------------------------- one-way

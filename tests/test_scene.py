@@ -178,8 +178,8 @@ def test_apply_copies_matrix_not_reference():
     assert scene.world["root"][0, 3] == 4.0
 
 
-@pytest.mark.parametrize("bad", [np.full((4, 4), np.inf), np.zeros((4, 4))],
-                         ids=["non-finite", "singular"])
+@pytest.mark.parametrize("bad", [np.full((4, 4), np.inf), np.zeros((4, 4)), np.eye(3)],
+                         ids=["non-finite", "singular", "wrong-size"])
 def test_apply_rejects_bad_matrix_before_writing_any(bad):
     scene = chain_scene()
     refresh_world_transforms(scene)
