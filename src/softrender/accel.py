@@ -5,10 +5,13 @@ triangles with a binned surface-area heuristic, whose split search
 sweeps every (axis, bin) at once.  A Tlas (top level) is rebuilt from
 scratch every frame over the world-space boxes of the instances, working
 on stacked instance arrays: one corner transform gives every world box
-and one batched inversion every inverse.  Rays are transformed into
-object space at instance leaves, so hit distances stay parameterized in
-world units.  One walk over both levels serves closest-hit and any-hit
-queries, and one pre-order walk serves compaction and the debug dumps.
+and one batched inversion every inverse.  Queries run in batches: rays
+walk each level as a frontier of (ray, node) pairs, every (ray, instance)
+pair moves into that instance's object space (so t stays in world
+units), and Moller-Trumbore runs over all (ray, triangle) pairs at once.
+shadow_mask tests a batch of points; ray_closest_hit, ray_any_hit and
+shadow_visibility are batches of one.  One pre-order walk serves
+compaction and the debug dumps.
 
 Conventions that tests rely on:
   - Intersection uses the Moller-Trumbore form with determinant cutoff
@@ -364,93 +367,84 @@ def serialize_tlas(tlas: Tlas) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Traversal.
+# Traversal: one batched walk over both levels.
 
-def _slab_hit(lo, hi, o, d, t_lo, t_hi):
-    """Ray/box overlap test on the open-ended slab interval [t_lo, t_hi]."""
-    for k in range(3):
-        dk = d[k]
-        if dk == 0.0:
-            if o[k] < lo[k] or o[k] > hi[k]:
-                return False
-            continue
-        inv = 1.0 / dk
-        t1 = (lo[k] - o[k]) * inv
-        t2 = (hi[k] - o[k]) * inv
-        if t1 > t2:
-            t1, t2 = t2, t1
-        if t1 > t_lo:
-            t_lo = t1
-        if t2 < t_hi:
-            t_hi = t2
-        if t_lo > t_hi:
-            return False
-    return True
+@np.errstate(divide="ignore", invalid="ignore")
+def _reach(nodes: _Nodes, o, d, t_lo, t_hi):
+    """(ray, slot, leaf size) for every element slot of every leaf a ray reaches.
+
+    Each step a row-wise slab test on [t_lo, t_hi] drops the (ray, node)
+    pairs that miss; internal nodes split into both children.  fmax/fmin
+    skip a NaN slab bound as the scalar comparisons `t1 > t_lo`, `t2 < t_hi`
+    do.  A zero direction component divides to +-inf: an origin inside that
+    slab gets no bound from it (-inf..inf, or NaN on a face), one outside
+    gets an empty interval, except for a zero direction with an infinite
+    t_hi, which hits no triangle anyway.
+    """
+    inv = 1.0 / d
+    ray = np.arange(len(o))
+    node = np.zeros(len(o), dtype=np.int64)
+    seen_ray, seen_node = [ray[:0]], [node[:0]]
+    while len(ray):
+        lo, hi, ro, ri = nodes.node_lo[node], nodes.node_hi[node], o[ray], inv[ray]
+        t1 = (lo - ro) * ri
+        t2 = (hi - ro) * ri
+        swap = t1 > t2
+        enter = np.fmax(t_lo[ray], np.fmax.reduce(np.where(swap, t2, t1), axis=1))
+        leave = np.fmin(t_hi[ray], np.fmin.reduce(np.where(swap, t1, t2), axis=1))
+        keep = ~(enter > leave)
+        ray, node = ray[keep], node[keep]
+        seen_ray.append(ray)
+        seen_node.append(node)
+        inner = nodes.node_start[node] < 0
+        node = np.concatenate([nodes.node_left[node[inner]], nodes.node_right[node[inner]]])
+        ray = np.concatenate([ray[inner], ray[inner]])
+    node = np.concatenate(seen_node)
+    size = nodes.node_count[node]  # 0 for internal nodes
+    slot = np.repeat(nodes.node_start[node] + size - np.cumsum(size), size) + np.arange(size.sum())
+    return np.repeat(np.concatenate(seen_ray), size), slot, np.repeat(size, size)
 
 
-def _leaf_triangles(blas: Blas, ni: int, o, d, t_min, t_max, closed: bool):
-    """Moller-Trumbore over one leaf; returns (t, order_slot, u, v) arrays."""
-    s = int(blas.node_start[ni])
-    e = s + int(blas.node_count[ni])
-    v0 = blas.v0[s:e]
-    e1 = blas.e1[s:e]
-    e2 = blas.e2[s:e]
-    pvec = np.cross(d, e2)
+def _dot_rows(q, d, size):
+    """Row-wise q . d, rounded as the product over one leaf's rows rounds:
+    a one-row product for a one-triangle leaf, else a matrix-vector one."""
+    out = (np.stack([q, q], axis=1) @ d[:, :, None])[:, 0, 0]
+    one = size == 1
+    out[one] = (q[one, None, :] @ d[one, :, None])[:, 0, 0]
+    return out
+
+
+def _hits(tlas: Tlas, o, d, t_min, t_max, closed: bool):
+    """Every accepted (ray, t, instance_id, triangle_index, u, v) of a batch, as arrays."""
+    t_min, t_max = np.broadcast_to(t_min, len(o)), np.broadcast_to(t_max, len(o))
+    ray, slot, _ = _reach(tlas, o, d, t_min, t_max)  # an empty TLAS is one empty leaf
+    k = tlas.inst_order[slot]  # one row per (ray, instance) pair, moved into object space
+    inv = tlas.inv_transforms[k]
+    ko = (inv[:, :3, :3] @ o[ray][:, :, None])[..., 0] + inv[:, :3, 3]
+    kd = (inv[:, :3, :3] @ d[ray][:, :, None])[..., 0]
+    # per (pair, triangle slot): pair, instance id, v0, e1, e2, triangle index, leaf size
+    found = [(k[:0], k[:0], np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)), k[:0], k[:0])]
+    for i in np.unique(k):
+        inst, pairs = tlas.instances[i], np.flatnonzero(k == i)
+        p, s, size = _reach(inst.blas, ko[pairs], kd[pairs], t_min[ray[pairs]], t_max[ray[pairs]])
+        found.append((pairs[p], np.full(len(s), inst.instance_id), inst.blas.v0[s],
+                      inst.blas.e1[s], inst.blas.e2[s], inst.blas.tri_order[s], size))
+    pair, inst_id, v0, e1, e2, tri, size = (np.concatenate(c) for c in zip(*found))
+    ray, ko, kd = ray[pair], ko[pair], kd[pair]
+    pvec = np.cross(kd, e2)  # C-ordered: einsum below rounds F-ordered rows differently
     det = np.einsum("ij,ij->i", e1, pvec)
     ok = np.abs(det) > EPSILON_INTERSECT
     inv_det = np.where(ok, 1.0 / np.where(det == 0.0, 1.0, det), 0.0)
-    tvec = o - v0
+    tvec = ko - v0
     u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
     ok &= (u >= 0.0) & (u <= 1.0)
     qvec = np.cross(tvec, e1)
-    v = (qvec @ d) * inv_det
+    v = _dot_rows(qvec, kd, size) * inv_det
     ok &= (v >= 0.0) & (u + v <= 1.0)
     t = np.einsum("ij,ij->i", e2, qvec) * inv_det
-    if closed:
-        ok &= (t >= t_min) & (t <= t_max)
-    else:
-        ok &= (t > t_min) & (t < t_max)
-    slots = np.nonzero(ok)[0]
-    return t[slots], slots + s, u[slots], v[slots]
-
-
-def _walk(tlas: Tlas, ray: Ray, closed: bool, first_hit_stops: bool):
-    """Walk both levels at once; returns (t, instance_id, triangle_index, u, v) or None.
-
-    Stack entries are (node arrays, node index, instance, origin,
-    direction): instance is None in the TLAS, where the ray is in world
-    space, and the owning TlasInstance in a BLAS, where the ray has been
-    moved into object space.  An instance leaf pushes its BLAS roots in
-    reverse slot order, so each instance is walked to the end before the
-    next.  Candidates compare by (t, instance_id, triangle_index); with
-    first_hit_stops the first accepted one is returned (shadow rays).
-    """
-    best = None
-    stack = [(tlas, 0, None, ray.origin, ray.direction)]  # an empty TLAS is one empty leaf
-    while stack:
-        nodes, ni, inst, o, d = stack.pop()
-        limit = ray.t_max if best is None else best[0]
-        if not _slab_hit(nodes.node_lo[ni], nodes.node_hi[ni], o, d, ray.t_min, limit):
-            continue
-        if nodes.node_start[ni] < 0:
-            stack.append((nodes, int(nodes.node_right[ni]), inst, o, d))
-            stack.append((nodes, int(nodes.node_left[ni]), inst, o, d))
-        elif inst is None:
-            s = int(tlas.node_start[ni])
-            for slot in reversed(range(s, s + int(tlas.node_count[ni]))):
-                k = int(tlas.inst_order[slot])
-                inv = tlas.inv_transforms[k]
-                stack.append((tlas.instances[k].blas, 0, tlas.instances[k],
-                              inv[:3, :3] @ o + inv[:3, 3], inv[:3, :3] @ d))
-        else:
-            ts, slots, us, vs = _leaf_triangles(nodes, ni, o, d, ray.t_min, limit, closed)
-            for t, slot, u, v in zip(ts, slots, us, vs):
-                cand = (float(t), inst.instance_id, int(nodes.tri_order[slot]), float(u), float(v))
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
-                    if first_hit_stops:
-                        return best
-    return best
+    lo, hi = t_min[ray], t_max[ray]
+    ok &= ((t >= lo) & (t <= hi)) if closed else ((t > lo) & (t < hi))
+    return ray[ok], t[ok], inst_id[ok], tri[ok], u[ok], v[ok]
 
 
 def ray_closest_hit(tlas: Tlas, ray: Ray) -> Hit | None:
@@ -459,35 +453,44 @@ def ray_closest_hit(tlas: Tlas, ray: Ray) -> Hit | None:
     Ties on t resolve to the lower (instance id, triangle index) so the
     result is a pure function of the scene.
     """
-    best = _walk(tlas, ray, closed=True, first_hit_stops=False)
-    return None if best is None else Hit(*best)
+    _, t, inst, tri, u, v = _hits(tlas, ray.origin[None], ray.direction[None],
+                                  ray.t_min, ray.t_max, closed=True)
+    if not len(t):
+        return None
+    i = np.lexsort((tri, inst, t))[0]
+    return Hit(t=float(t[i]), instance_id=int(inst[i]), triangle_index=int(tri[i]),
+               u=float(u[i]), v=float(v[i]))
 
 
 def ray_any_hit(tlas: Tlas, ray: Ray) -> bool:
     """True if anything lies strictly inside (t_min, t_max)."""
-    return _walk(tlas, ray, closed=False, first_hit_stops=True) is not None
+    return len(_hits(tlas, ray.origin[None], ray.direction[None],
+                     ray.t_min, ray.t_max, closed=False)[0]) > 0
+
+
+def shadow_mask(tlas: Tlas, points, normals, light_pos) -> np.ndarray:
+    """(P,) visibility: 1.0 where the segment from the offset point to the light is clear.
+
+    Each origin is pushed SHADOW_OFFSET along its normal and the tested
+    interval is (SHADOW_OFFSET, distance - SHADOW_OFFSET), open on both
+    ends, so neither the surface itself nor geometry hugging the light
+    occludes.  A light within 2 * SHADOW_OFFSET of the origin is visible.
+    """
+    origin = (np.asarray(points, dtype=np.float64)
+              + np.asarray(normals, dtype=np.float64) * SHADOW_OFFSET).reshape(-1, 3)
+    to_light = np.asarray(light_pos, dtype=np.float64) - origin
+    dist = np.sqrt((to_light[:, None, :] @ to_light[:, :, None])[:, 0, 0])  # as norm() rounds
+    cast = np.flatnonzero(dist > 2.0 * SHADOW_OFFSET)
+    blocked = _hits(tlas, origin[cast], to_light[cast] / dist[cast, None],
+                    SHADOW_OFFSET, dist[cast] - SHADOW_OFFSET, closed=False)[0]
+    visible = np.ones(len(origin))
+    visible[cast[blocked]] = 0.0
+    return visible
 
 
 def shadow_visibility(tlas: Tlas, point, normal, light_pos) -> float:
-    """1.0 if the segment from the offset point to the light is clear.
-
-    The origin is pushed SHADOW_OFFSET along the surface normal and the
-    tested interval is (SHADOW_OFFSET, distance - SHADOW_OFFSET), open on
-    both ends, so neither the surface itself nor geometry hugging the
-    light counts as an occluder.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    normal = np.asarray(normal, dtype=np.float64)
-    light_pos = np.asarray(light_pos, dtype=np.float64)
-    origin = point + normal * SHADOW_OFFSET
-    to_light = light_pos - origin
-    dist = float(np.linalg.norm(to_light))
-    if dist <= 2.0 * SHADOW_OFFSET:
-        return 1.0
-    direction = to_light / dist
-    ray = Ray(origin=origin, direction=direction,
-              t_min=SHADOW_OFFSET, t_max=dist - SHADOW_OFFSET)
-    return 0.0 if ray_any_hit(tlas, ray) else 1.0
+    """shadow_mask of one point."""
+    return float(shadow_mask(tlas, [point], [normal], light_pos)[0])
 
 
 # ---------------------------------------------------------------------------

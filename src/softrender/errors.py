@@ -43,4 +43,4 @@ class IncompatibleRegionError(RegionError):
 
 
 class ContentionError(RegionError):
-    """Reader exhausted its retry budget without a stable snapshot."""
+    """Region holds no stable snapshot: a writer died mid-write."""

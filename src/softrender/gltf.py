@@ -14,6 +14,7 @@ indices, duplicate names, cycles) raise ValidationError.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 from pathlib import Path
 
@@ -80,7 +81,10 @@ class _Document:
             pos = uri.find(marker)
             if pos < 0:
                 raise UnsupportedFeatureError("non-base64 data uri")
-            data = base64.b64decode(uri[pos + len(marker):])
+            try:
+                data = base64.b64decode(uri[pos + len(marker):])
+            except binascii.Error as e:
+                raise ValidationError(f"buffer {index} has bad base64 data ({e})") from None
         else:
             if self.base_dir is None:
                 raise ValidationError(f"buffer {index} uses external uri '{uri}' but no base directory was given")
@@ -122,6 +126,11 @@ class _Document:
         data = self.buffers[view["buffer"]]
         elem = csize * ncomp
         stride = view.get("byteStride", elem)
+        if stride < elem:
+            raise ValidationError(f"accessor {index}: byteStride {stride} is below the "
+                                  f"element size {elem}")
+        if view.get("byteOffset", 0) < 0 or acc.get("byteOffset", 0) < 0:
+            raise ValidationError(f"accessor {index}: negative byteOffset")
         start = view.get("byteOffset", 0) + acc.get("byteOffset", 0)
         end = start + stride * (count - 1) + elem
         if end > len(data) or end > view.get("byteOffset", 0) + view.get("byteLength", len(data)):
@@ -211,7 +220,7 @@ def _parse_geometry(d: _Document, mesh_index: int, mesh: dict) -> MeshGeometry:
 
     acc_defs = d.doc.get("accessors", [])
 
-    def typed(accessor_index, want_type, want_ctypes, label):
+    def typed(accessor_index, want_type, want_ctypes, label, want_count=None):
         if not (0 <= accessor_index < len(acc_defs)):
             raise ValidationError(f"{label} accessor index {accessor_index} out of range")
         a = acc_defs[accessor_index]
@@ -220,6 +229,9 @@ def _parse_geometry(d: _Document, mesh_index: int, mesh: dict) -> MeshGeometry:
         if a["componentType"] not in want_ctypes:
             raise UnsupportedFeatureError(
                 f"{label} component type {a['componentType']}")
+        if want_count is not None and a["count"] != want_count:
+            raise ValidationError(f"{label} accessor has {a['count']} entries for "
+                                  f"{want_count} vertices")
         return d.read_accessor(accessor_index)
 
     positions = typed(attrs["POSITION"], "VEC3", {5126}, "POSITION")
@@ -232,7 +244,7 @@ def _parse_geometry(d: _Document, mesh_index: int, mesh: dict) -> MeshGeometry:
             f"dangling index {int(triangles.max())} (mesh has {len(positions)} vertices)")
 
     if "NORMAL" in attrs:
-        normals = typed(attrs["NORMAL"], "VEC3", {5126}, "NORMAL")
+        normals = typed(attrs["NORMAL"], "VEC3", {5126}, "NORMAL", len(positions))
         lengths = np.linalg.norm(normals, axis=1)
         bad = lengths < 1e-20
         if np.any(bad):
@@ -243,7 +255,8 @@ def _parse_geometry(d: _Document, mesh_index: int, mesh: dict) -> MeshGeometry:
         normals = generate_vertex_normals(positions, triangles)
 
     if "TEXCOORD_0" in attrs:
-        uvs = np.clip(typed(attrs["TEXCOORD_0"], "VEC2", {5126}, "TEXCOORD_0"), 0.0, 1.0)
+        uvs = np.clip(typed(attrs["TEXCOORD_0"], "VEC2", {5126}, "TEXCOORD_0", len(positions)),
+                      0.0, 1.0)
     else:
         uvs = np.zeros((len(positions), 2), dtype=np.float64)
 

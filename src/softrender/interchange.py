@@ -19,11 +19,14 @@ fixed at creation; only matrices and the generation change afterwards.
 
 Cross-process exclusion uses fcntl.flock on the backing file instead of
 a mutex inside the reserved slot (portable from pure Python; the slot
-stays zeroed for layout compatibility).  Readers additionally validate
-the generation seqlock-style: a snapshot only counts when the counter is
-even and unchanged across the copy, retrying up to a budget before
-raising ContentionError.  Data flows strictly writer to reader; a reader
-never writes the region.
+stays zeroed for layout compatibility).  The writer holds LOCK_EX while
+it sets the region up and for every write, and a reader copies under
+LOCK_SH, so a reader waits on the lock rather than spinning.  Readers
+still validate the generation seqlock-style: a snapshot only counts when
+the counter is even and unchanged across the copy.  Under the lock that
+fails only when a writer died mid-write, and the region then never
+becomes stable again, so read_frame raises ContentionError at once.
+Data flows strictly writer to reader; a reader never writes the region.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ NAME_BYTES = 64
 GENERATION_OFFSET = 16
 LOCK_SLOT_OFFSET = 24
 LOCK_SLOT_SIZE = 40
-DEFAULT_READ_RETRIES = 1000
 
 _HEADER = struct.Struct("<IIII Q")  # magic, version, node_count, reserved, generation
 # zero-padded name, then the matrix in column-major order
@@ -126,14 +128,18 @@ class TransformTableWriter:
         self._mm = mmap.mmap(fd, size)
         self._records = np.frombuffer(self._mm, dtype=_RECORD, count=len(names),
                                       offset=HEADER_SIZE)
-        # born at generation 1 (write in progress): an attacher racing
-        # creation sees magic 0 (attach fails, retry) or an odd
-        # generation (read_frame spins) until the records are real
-        self._mm[:HEADER_SIZE] = _HEADER.pack(MAGIC, VERSION, len(names), 0, 1) \
-            + b"\x00" * (HEADER_SIZE - _HEADER.size)
-        self._records["name"] = encoded
-        self._records["matrix"] = np.eye(4).ravel()
-        self._set_generation(0)
+        # set up under LOCK_EX, born at generation 1 (write in progress):
+        # an attacher racing creation sees magic 0 (attach fails) or waits
+        # on the lock in read_frame until the records are real
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        try:
+            self._mm[:HEADER_SIZE] = _HEADER.pack(MAGIC, VERSION, len(names), 0, 1) \
+                + b"\x00" * (HEADER_SIZE - _HEADER.size)
+            self._records["name"] = encoded
+            self._records["matrix"] = np.eye(4).ravel()
+            self._set_generation(0)
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
 
     @property
     def generation(self) -> int:
@@ -213,25 +219,24 @@ class TransformTableReader:
         self.node_count = node_count
         self._mm = mmap.mmap(fd, size)
 
-    def read_frame(self, max_retries: int = DEFAULT_READ_RETRIES) -> TransformSnapshot:
-        """Copy out one stable snapshot.
+    def read_frame(self) -> TransformSnapshot:
+        """Copy out one stable snapshot under LOCK_SH.
 
         The generation must be even and identical before and after the
-        copy; an in-progress write (odd, or changed) costs one retry.
+        copy.  Writers hold LOCK_EX for a whole write, so under the lock
+        anything else is a writer that died mid-write: ContentionError.
         """
-        for _ in range(max_retries):
-            fcntl.flock(self._fd, fcntl.LOCK_SH)
-            try:
-                g1 = struct.unpack_from("<Q", self._mm, GENERATION_OFFSET)[0]
-                if g1 % 2 == 1:
-                    continue
-                raw = bytes(self._mm[HEADER_SIZE:HEADER_SIZE + RECORD_SIZE * self.node_count])
-                g2 = struct.unpack_from("<Q", self._mm, GENERATION_OFFSET)[0]
-            finally:
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            if g1 == g2:
-                return TransformSnapshot(generation=g1, entries=_decode_records(raw, self.node_count))
-        raise ContentionError(f"no stable snapshot after {max_retries} attempts")
+        fcntl.flock(self._fd, fcntl.LOCK_SH)
+        try:
+            g1 = struct.unpack_from("<Q", self._mm, GENERATION_OFFSET)[0]
+            raw = bytes(self._mm[HEADER_SIZE:HEADER_SIZE + RECORD_SIZE * self.node_count])
+            g2 = struct.unpack_from("<Q", self._mm, GENERATION_OFFSET)[0]
+        finally:
+            fcntl.flock(self._fd, fcntl.LOCK_UN)
+        if g1 % 2 == 1 or g1 != g2:
+            raise ContentionError(f"region '{self.name}' is stuck at generation {g2} "
+                                  "(a writer died mid-write)")
+        return TransformSnapshot(generation=g1, entries=_decode_records(raw, self.node_count))
 
     def close(self) -> None:
         if self._mm is not None:

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .accel import shadow_visibility
+from .accel import shadow_mask
 from .errors import ConfigurationError, ValidationError
 from .framebuffer import SAMPLE_POSITIONS, Framebuffer, clear_framebuffer, create_framebuffer
 from .linalg import normal_matrix, normalize, perspective, transform_points
@@ -338,14 +338,8 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
         sample = ShadingSample(position=wpos, normal=wnrm, view_dir=view_dir,
                                base_color=mat.base_color, metallic=mat.metallic,
                                roughness=mat.roughness)
-        lights = []
-        for light in scene.lights:
-            if shadows and tlas is not None:
-                vis = np.array([shadow_visibility(tlas, wpos[p], wnrm[p], light.position)
-                                for p in range(len(wpos))])
-            else:
-                vis = 1.0
-            lights.append((light, vis))
+        lights = [(light, shadow_mask(tlas, wpos, wnrm, light.position)
+                   if shadows and tlas is not None else 1.0) for light in scene.lights]
         color = shade_direct(sample, lights)
         display = linear_to_srgb(reinhard_tonemap(color)).astype(np.float32)
 

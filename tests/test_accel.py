@@ -8,13 +8,16 @@ intersector implemented in this file.
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from softrender import accel
 from softrender.accel import (
     LEAF_MAX_INSTANCES,
     LEAF_MAX_TRIS,
+    SHADOW_OFFSET,
     Aabb,
     Ray,
     TlasInstance,
@@ -29,9 +32,12 @@ from softrender.accel import (
     ray_closest_hit,
     serialize_blas,
     serialize_tlas,
+    shadow_mask,
     shadow_visibility,
     tlas_dump_text,
 )
+from softrender.frameloop import build_scene_blases, make_tlas_instances
+from softrender.gltf import load_gltf
 from softrender.linalg import rotate_y, rotate_z, translate, scale
 from softrender.procedural import cube_geometry, plane_geometry, sphere_geometry
 
@@ -486,6 +492,49 @@ def test_shadow_light_exactly_at_surface_point_is_visible():
     assert shadow_visibility(tlas, p, [0, 1, 0], p) == 1.0
 
 
+def test_shadow_mask_matches_linear_solve_oracle():
+    rng = np.random.default_rng(46)
+    blas = build_blas(*triangle_soup(rng, 60, lo=-1.0, hi=1.0))
+    tlas = build_tlas([
+        TlasInstance(blas=blas, transform=np.eye(4), node_name="a", instance_id=0),
+        TlasInstance(blas=blas, transform=translate(0.3, -0.2, 0.4) @ rotate_y(0.7),
+                     node_name="b", instance_id=1)])
+    tris, _, _ = all_world_triangles(tlas)
+    light = np.array([0.1, 0.2, -0.1])  # among the triangles
+    n = 500
+    points = np.array([surface_point(rng, tris) for _ in range(n)])
+    normals = rng.normal(size=(n, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    # 0-79: segments along y or x (zero direction components); 80-99: the
+    # light within 2 * SHADOW_OFFSET of the offset point
+    axis = np.arange(80) % 2
+    points[:80] = light
+    points[np.arange(80), axis] += rng.choice([-1.0, 1.0], 80) * rng.uniform(0.2, 2.0, 80)
+    normals[:80] = 0.0
+    normals[np.arange(80), axis] = rng.choice([-1.0, 1.0], 80)
+    points[80:100] = (light - normals[80:100] * SHADOW_OFFSET
+                      + rng.uniform(-0.5, 0.5, (20, 3)) * SHADOW_OFFSET)
+
+    want = np.ones(n)
+    for i in range(n):
+        origin = points[i] + normals[i] * SHADOW_OFFSET
+        dist = float(np.linalg.norm(light - origin))
+        if dist > 2.0 * SHADOW_OFFSET:
+            ray = Ray(origin=origin, direction=(light - origin) / dist,
+                      t_min=SHADOW_OFFSET, t_max=dist - SHADOW_OFFSET)
+            want[i] = 0.0 if solve_oracle_closest(tlas, ray, closed=False) else 1.0
+    got = shadow_mask(tlas, points, normals, light)
+    np.testing.assert_array_equal(got, want)
+    assert got.tolist() == [shadow_visibility(tlas, p, m, light) for p, m in zip(points, normals)]
+    # both outcomes occur on the axis-parallel segments and on the rest
+    assert 10 < np.sum(want[:80] == 0.0) < 70 and 50 < np.sum(want[100:] == 0.0) < 350, \
+        (np.sum(want[:80] == 0.0), np.sum(want[100:] == 0.0))
+    assert np.all(want[80:100] == 1.0)
+
+    assert shadow_mask(tlas, np.zeros((0, 3)), np.zeros((0, 3)), light).shape == (0,)
+    np.testing.assert_array_equal(shadow_mask(build_tlas([]), points, normals, light), np.ones(n))
+
+
 # ---------------------------------------------------------------- debug dumps
 
 def test_dump_text_mentions_every_leaf():
@@ -499,3 +548,128 @@ def test_dump_text_mentions_every_leaf():
     tlas = build_tlas([TlasInstance(blas=blas, transform=np.eye(4),
                                     node_name="solo", instance_id=0)])
     assert "solo" in tlas_dump_text(tlas)
+
+
+# ---------------------------------------------------------------- pinned query corpus
+
+def corpus_tlases(demo_gltf, bench_gltf):
+    """The empty TLAS, three-instance soups whose leaves hold 1 to 4
+    triangles (raw and compacted), and the demo and bench scenes."""
+    rng = np.random.default_rng(71)
+    tlases = [build_tlas([])]
+    for tri_count in (1, 2, 3, 4, 150):
+        raw = build_blas(*triangle_soup(rng, tri_count))
+        for blas in (raw, compact_blas(raw)):
+            tlases.append(build_tlas([
+                TlasInstance(blas=blas, node_name=f"n{i}", instance_id=i,
+                             transform=translate(*rng.uniform(-2.0, 2.0, 3))
+                             @ rotate_y(rng.uniform(0.0, 6.0)) @ scale(*rng.uniform(0.5, 2.0, 3)))
+                for i in range(3)]))
+    for path in (demo_gltf, bench_gltf):
+        scene = load_gltf(path)
+        tlases.append(build_tlas(make_tlas_instances(scene, build_scene_blases(scene))))
+    return tlases
+
+
+def surface_point(rng, tris):
+    a, b = rng.uniform(0.0, 1.0, 2)
+    if a + b > 1.0:
+        a, b = 1.0 - a, 1.0 - b
+    v = tris[int(rng.integers(len(tris)))]
+    return v[0] + a * (v[1] - v[0]) + b * (v[2] - v[0])
+
+
+def corpus_rays(rng, tlas, count):
+    """Shell rays aimed at the triangles or anywhere in the root box: unit
+    and raw directions, some with one or two zero components, some
+    axis-aligned; t_max infinite or finite."""
+    tris, _, _ = all_world_triangles(tlas)
+    lo, hi = tlas.node_lo[0], tlas.node_hi[0]
+    center, radius = (lo + hi) * 0.5, float(np.linalg.norm(hi - lo)) * 0.5 + 1.0
+    rays = []
+    for i in range(count):
+        target = surface_point(rng, tris) if len(tris) and i % 3 else rng.uniform(lo, hi)
+        o = rng.normal(size=3)
+        o = center + o / np.linalg.norm(o) * radius * 1.5
+        d = target - o
+        kind = i % 5
+        if kind == 1:  # unit direction
+            d = d / np.linalg.norm(d)
+        elif kind == 2:  # one or two zero components
+            zero = rng.choice(3, size=int(rng.integers(1, 3)), replace=False)
+            d[zero] = 0.0
+            o[zero] = target[zero]
+        elif kind == 3:  # axis-aligned
+            k = int(rng.integers(3))
+            d = np.zeros(3)
+            d[k] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            o = target - d * rng.uniform(1.0, 4.0) * radius / abs(d[k])
+        t_max = math.inf if i % 2 else float(rng.uniform(0.3, 1.2) * np.linalg.norm(target - o)
+                                             / max(np.linalg.norm(d), 1e-12))
+        rays.append(Ray(origin=o, direction=d, t_max=t_max))
+    return rays
+
+
+def corpus_shadow_queries(rng, tlas, count):
+    """(point, normal, light): points on the triangles, lights anywhere,
+    straight along an axis, or within 2 * SHADOW_OFFSET of the point."""
+    tris, _, _ = all_world_triangles(tlas)
+    lo, hi = tlas.node_lo[0], tlas.node_hi[0]
+    out = []
+    for i in range(count):
+        point = surface_point(rng, tris) if len(tris) else rng.uniform(-1.0, 1.0, 3)
+        normal = rng.normal(size=3)
+        normal /= np.linalg.norm(normal)
+        kind = i % 4
+        if kind == 0:
+            light = point + normal * SHADOW_OFFSET + rng.uniform(-1.0, 1.0, 3) * SHADOW_OFFSET
+        elif kind == 1:
+            light = point.copy()
+            light[int(rng.integers(3))] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 5.0)
+        else:
+            light = rng.uniform(lo - 2.0, hi + 2.0)
+        out.append((point, normal, light))
+    return out
+
+
+def pack_corpus_answers(tlases):
+    rng = np.random.default_rng(72)
+    h = hashlib.sha256()
+    for tlas in tlases:
+        for ray in corpus_rays(rng, tlas, 300):
+            hit = ray_closest_hit(tlas, ray)
+            h.update(b"-" if hit is None else struct.pack(
+                "<dqqdd", hit.t, hit.instance_id, hit.triangle_index, hit.u, hit.v))
+            h.update(b"1" if ray_any_hit(tlas, ray) else b"0")
+        for point, normal, light in corpus_shadow_queries(rng, tlas, 120):
+            h.update(struct.pack("<d", shadow_visibility(tlas, point, normal, light)))
+    return h.hexdigest()
+
+
+# recorded from the scalar stack walk: the batched walk must give every
+# query the same bits (t, u and v included)
+PINNED_QUERY_SHA256 = "6640194e59727a8319c63d95f8274e4193865898ff9c682ca4976d71bb38ad92"
+
+
+def test_query_corpus_matches_pinned_sha256(demo_gltf, bench_gltf):
+    assert pack_corpus_answers(corpus_tlases(demo_gltf, bench_gltf)) == PINNED_QUERY_SHA256
+
+
+def test_batched_walk_matches_batches_of_one(demo_gltf, bench_gltf):
+    """All corpus rays of a TLAS in one walk give each ray the bits it gets
+    alone (the object-space transform and leaf products round per row)."""
+    rng = np.random.default_rng(73)
+    for tlas in corpus_tlases(demo_gltf, bench_gltf):
+        rays = corpus_rays(rng, tlas, 300)
+        batch = [np.array([getattr(r, k) for r in rays], dtype=np.float64)
+                 for k in ("origin", "direction", "t_min", "t_max")]
+        ray, t, inst, tri, u, v = accel._hits(tlas, *batch, closed=True)
+        order = np.lexsort((tri, inst, t, ray))
+        first = order[np.r_[True, ray[order][1:] != ray[order][:-1]]] if len(ray) else order
+        closest = {int(ray[i]): (t[i], inst[i], tri[i], u[i], v[i]) for i in first}
+        blocked = set(accel._hits(tlas, *batch, closed=False)[0].tolist())
+        for i, r in enumerate(rays):
+            hit = ray_closest_hit(tlas, r)
+            assert closest.get(i) == (None if hit is None else
+                                      (hit.t, hit.instance_id, hit.triangle_index, hit.u, hit.v))
+            assert (i in blocked) == ray_any_hit(tlas, r)

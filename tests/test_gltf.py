@@ -12,8 +12,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from softrender.errors import ParseError, UnsupportedFeatureError, ValidationError
+from softrender.errors import ParseError, SceneError, UnsupportedFeatureError, ValidationError
 from softrender.gltf import generate_vertex_normals, load_gltf, parse_gltf_subset
 from softrender.linalg import compose_trs
 
@@ -458,3 +460,54 @@ def test_generate_vertex_normals_degenerate_fallback():
     triangles = np.array([[0, 1, 2]])
     n = generate_vertex_normals(positions, triangles)
     np.testing.assert_array_equal(n, [[0, 0, 1]] * 3)
+
+
+# ------------------------------------------------------- mutated documents
+
+@pytest.mark.parametrize("table, index, key, value, needle", [
+    ("accessors", 0, "byteOffset", -4, "byteOffset"),
+    ("bufferViews", 0, "byteOffset", -36, "byteOffset"),
+    ("bufferViews", 0, "byteStride", 0, "byteStride"),    # every vertex would read vertex 0
+    ("bufferViews", 0, "byteStride", 4, "byteStride"),    # vertices would overlap
+    ("bufferViews", 0, "byteStride", -12, "byteStride"),  # rows would wrap to the buffer's end
+    ("accessors", 1, "count", 2, "NORMAL"),
+    ("accessors", 2, "count", 2, "TEXCOORD_0"),
+])
+def test_bad_offset_stride_or_count_rejected(triangle_gltf, table, index, key, value, needle):
+    doc = json.loads(triangle_gltf.read_text())
+    doc[table][index][key] = value
+    with pytest.raises(ValidationError, match=needle):
+        parse(doc)
+
+
+def int_paths(node, path=()):
+    """Paths to every integer in a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [p for k, v in items for p in int_paths(v, path + (k,))]
+    return [path] if isinstance(node, int) and not isinstance(node, bool) else []
+
+
+_field_values = st.one_of(st.integers(-16, 128),
+                          st.sampled_from([-2**31, -12, 2**31, 2**63, 10**30]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_document_fails_only_with_scene_errors(triangle_gltf, data):
+    doc = json.loads(triangle_gltf.read_text())
+    # every integer field, plus the strides and accessor offsets the file leaves out
+    paths = (int_paths(doc) + [("bufferViews", i, "byteStride") for i in range(4)]
+             + [("accessors", i, "byteOffset") for i in range(4)])
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(_field_values)
+    head, payload = doc["buffers"][0]["uri"].split(",")
+    cut = data.draw(st.integers(0, len(payload)))
+    doc["buffers"][0]["uri"] = f"{head},{payload[:cut]}"
+    try:
+        parse(doc)
+    except SceneError:
+        pass

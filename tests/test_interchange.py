@@ -6,6 +6,7 @@ uses a sentinel tick stamped into matrix element [3][0] of a dedicated
 node; every snapshot must be self-consistent with that tick.
 """
 
+import fcntl
 import math
 import multiprocessing
 import os
@@ -26,7 +27,6 @@ from softrender.errors import (
     ValidationError,
 )
 from softrender.interchange import (
-    DEFAULT_READ_RETRIES,
     GENERATION_OFFSET,
     HEADER_SIZE,
     MAGIC,
@@ -259,18 +259,36 @@ def test_write_frame_missing_node_fails_before_mutation(region_name):
         writer.close()
 
 
-def test_stuck_odd_generation_times_out(region_name):
+def spy_flock(monkeypatch) -> list:
+    """Record the operation of every fcntl.flock call from here on."""
+    calls = []
+    flock = fcntl.flock
+    monkeypatch.setattr(fcntl, "flock", lambda fd, op: (calls.append(op), flock(fd, op))[1])
+    return calls
+
+
+def test_stuck_odd_generation_times_out(region_name, monkeypatch):
     writer = create_table(region_name, ["n"])
     reader = attach_table(region_name)
     try:
         with open(writer.path, "r+b") as f:
             f.seek(GENERATION_OFFSET)
             f.write(struct.pack("<Q", 7))  # simulate a dead writer mid-write
-        with pytest.raises(ContentionError, match="50"):
-            reader.read_frame(max_retries=50)
+        calls = spy_flock(monkeypatch)
+        with pytest.raises(ContentionError, match="generation 7"):
+            reader.read_frame()
+        assert calls.count(fcntl.LOCK_SH) == 1
     finally:
         reader.close()
         writer.close()
+
+
+def test_writer_sets_region_up_under_exclusive_lock(region_name, monkeypatch):
+    # a reader that attaches mid-setup waits on the lock instead of
+    # meeting the odd birth generation
+    calls = spy_flock(monkeypatch)
+    create_table(region_name, ["n"]).close()
+    assert calls == [fcntl.LOCK_EX, fcntl.LOCK_UN]
 
 
 def test_non_utf8_name_is_incompatible(region_name):
@@ -285,10 +303,6 @@ def test_non_utf8_name_is_incompatible(region_name):
     finally:
         reader.close()
         writer.close()
-
-
-def test_default_retry_budget():
-    assert DEFAULT_READ_RETRIES == 1000
 
 
 # ------------------------------------------------- record properties
