@@ -2,8 +2,8 @@
 
 Draws are sorted by (material id, vertex arena segment) with node name
 as the tie break, mirroring a command-buffer submission path that
-minimizes pipeline and binding switches.  The pass itself is a scanline
-rasterizer over per-sample coverage and depth:
+minimizes pipeline and binding switches.  The pass itself is a
+visibility buffer over per-sample coverage and depth:
 
   - column-major MVP convention, right-handed view space, depth in
     [0, 1] with a less-than test;
@@ -11,8 +11,13 @@ rasterizer over per-sample coverage and depth:
     linear attribute interpolation), far overflow is left to the depth
     range;
   - fill follows a top-left rule on exact edge-function zeros;
-  - shading runs once per (pixel, triangle) at the pixel center and the
-    result is broadcast to the covered samples that pass depth;
+  - coverage and depth of all (triangle, pixel) pairs are computed as
+    arrays, and the depth rule is sequential: in submission order a
+    sample passes on ``z < float32 stored depth`` and stores its
+    float32 depth, so the last passing triangle wins the sample;
+  - shading then runs once per (pixel, winning triangle) at the pixel
+    center, with one shadow batch per light, and the result goes to the
+    samples that triangle won;
   - attributes are perspective-corrected via 1/w interpolation.
 
 Work splits over disjoint horizontal bands.  Every band rasterizes the
@@ -22,7 +27,6 @@ change wall time but never a single pixel.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -275,80 +279,129 @@ def _geometry_stage(scene: Scene, draws, arena, view, proj, width, height,
         material=np.concatenate(sink["material"]), bbox=bbox)
 
 
+# (triangle, pixel) pairs whose coverage is evaluated at once: bounds the
+# per-sample temporaries whatever the scene or triangle size
+_PAIR_CHUNK = 1 << 12
+
+
+def _interpolate(batch: _TriangleBatch, k, lam, one_pixel):
+    """(P,) 1/w, (P, 3) position/w and (P, 3) normal/w at barycentrics lam of triangles k.
+
+    Row for row these are the bits of the per-triangle products
+    ``lam_k @ batch.iw[k]``, ``lam_k @ batch.wpos_iw[k]`` and
+    ``lam_k @ batch.wnrm_iw[k]`` over triangle k's own rows.  The first
+    is a matrix-vector product, which rounds one way for a single row
+    (one_pixel) and another for two or more; the other two round alike
+    for any row count.  Row sums and einsum round differently.
+    """
+    iw = batch.iw[k][:, :, None]
+    iw_p = np.where(one_pixel, (lam[:, None, :] @ iw)[:, 0, 0],
+                    (np.stack([lam, lam], axis=1) @ iw)[:, 0, 0])
+    return (iw_p, (lam[:, None, :] @ batch.wpos_iw[k])[:, 0],
+            (lam[:, None, :] @ batch.wnrm_iw[k])[:, 0])
+
+
 def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye,
                  shadows: bool, band_y0: int, band_y1: int) -> None:
-    """Rasterize every batch triangle into rows [band_y0, band_y1)."""
+    """Rasterize every batch triangle into rows [band_y0, band_y1).
+
+    A visibility buffer.  First the coverage and depth of every
+    (triangle, pixel) pair, a chunk of pairs at a time, under the
+    sequential depth rule: in submission order a candidate passes on
+    ``zg < float32 stored depth`` and stores ``float32(zg)``, so the last
+    passing candidate wins (a float64 argmin is not the same rule).  It
+    runs rank by rank over each pixel's candidates, a loop over depth
+    complexity, not over triangles.  Then each (pixel, winning triangle)
+    is shaded once, with one shadow batch per light, and its colour goes
+    to every sample that triangle won in that pixel.
+    """
     samples = SAMPLE_POSITIONS[fb.samples]
     width = fb.width
-    in_band = ~((batch.bbox[:, 3] < band_y0 - 1) | (batch.bbox[:, 2] > band_y1 + 1))
-    for k in np.nonzero(in_band)[0]:
-        vx = batch.xy[k, :, 0]
-        vy = batch.xy[k, :, 1]
-        x_lo = max(int(math.floor(batch.bbox[k, 0])) - 1, 0)
-        x_hi = min(int(math.ceil(batch.bbox[k, 1])) + 1, width)
-        y_lo = max(int(math.floor(batch.bbox[k, 2])) - 1, band_y0)
-        y_hi = min(int(math.ceil(batch.bbox[k, 3])) + 1, band_y1)
-        if x_lo >= x_hi or y_lo >= y_hi:
-            continue
+    bb = batch.bbox
+    x_lo = np.clip(np.floor(bb[:, 0]) - 1, 0, width).astype(np.int64)
+    x_hi = np.clip(np.ceil(bb[:, 1]) + 1, 0, width).astype(np.int64)
+    y_lo = np.clip(np.floor(bb[:, 2]) - 1, band_y0, band_y1).astype(np.int64)
+    y_hi = np.clip(np.ceil(bb[:, 3]) + 1, band_y0, band_y1).astype(np.int64)
+    vx = batch.xy[..., 0]
+    vy = batch.xy[..., 1]
+    dx = vx[:, [1, 2, 0]] - vx   # edge i runs v_i -> v_{i+1}
+    dy = vy[:, [1, 2, 0]] - vy
+    area2 = dx[:, 0] * (vy[:, 2] - vy[:, 0]) - dy[:, 0] * (vx[:, 2] - vx[:, 0])
+    top_left = (dy < 0.0) | ((dy == 0.0) & (dx > 0.0))
+    in_band = ~((bb[:, 3] < band_y0 - 1) | (bb[:, 2] > band_y1 + 1))
+    tris = np.flatnonzero(in_band & (x_lo < x_hi) & (y_lo < y_hi) & (area2 > 0.0))
 
-        dx = np.roll(vx, -1) - vx   # edge i runs v_i -> v_{i+1}
-        dy = np.roll(vy, -1) - vy
-        area2 = dx[0] * (vy[2] - vy[0]) - dy[0] * (vx[2] - vx[0])
-        if area2 <= 0.0:
-            continue
-        top_left = (dy < 0.0) | ((dy == 0.0) & (dx > 0.0))
-
-        xs = np.arange(x_lo, x_hi, dtype=np.float64)
-        ys = np.arange(y_lo, y_hi, dtype=np.float64)
-        z_v = batch.z[k]
-
-        passed = []
-        z_grids = []
-        any_pass = None
+    depth = fb.depth[band_y0:band_y1].reshape(-1, fb.samples)
+    winner = np.full(depth.shape, -1, dtype=np.int32)  # index into tris
+    lit = np.zeros(len(tris), dtype=np.int64)  # pixels where some sample passed
+    rect_w = x_hi[tris] - x_lo[tris]
+    rect_n = rect_w * (y_hi[tris] - y_lo[tris])
+    ends = np.cumsum(rect_n)
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, _PAIR_CHUNK):
+        pair = np.arange(start, min(start + _PAIR_CHUNK, total))
+        j = np.searchsorted(ends, pair, side="right")
+        k = tris[j]
+        offset = pair - ends[j] + rect_n[j]
+        row = y_lo[k] + offset // rect_w[j]
+        col = x_lo[k] + offset % rect_w[j]
+        pixel = (row - band_y0) * width + col
+        by_pixel = np.argsort(pixel, kind="stable")
+        kdx, kdy, kvx, kvy, kz = dx[k], dy[k], vx[k], vy[k], batch.z[k]
+        passed = np.zeros(len(pair), dtype=bool)
         for s, (sx, sy) in enumerate(samples):
-            px = xs + sx
-            py = ys + sy
-            e = [dx[i] * (py[:, None] - vy[i]) - dy[i] * (px[None, :] - vx[i])
-                 for i in range(3)]
-            cover = np.ones(e[0].shape, dtype=bool)
-            for i in range(3):
-                cover &= (e[i] > 0.0) | ((e[i] == 0.0) & top_left[i])
-            zg = (e[1] * z_v[0] + e[2] * z_v[1] + e[0] * z_v[2]) / area2
-            dslice = fb.depth[y_lo:y_hi, x_lo:x_hi, s]
-            ok = cover & (zg < dslice)
-            passed.append(ok)
-            z_grids.append(zg)
-            any_pass = ok if any_pass is None else (any_pass | ok)
-        if any_pass is None or not any_pass.any():
-            continue
+            e = kdx * ((row + sy)[:, None] - kvy) - kdy * ((col + sx)[:, None] - kvx)
+            cover = ((e > 0.0) | ((e == 0.0) & top_left[k])).all(axis=1)
+            zg = (e[:, 1] * kz[:, 0] + e[:, 2] * kz[:, 1] + e[:, 0] * kz[:, 2]) / area2[k]
+            cand = by_pixel[cover[by_pixel]]  # by pixel, then submission order
+            if len(cand) == 0:
+                continue
+            cpix = pixel[cand]
+            at = np.flatnonzero(np.r_[True, cpix[1:] != cpix[:-1]])  # rank 0 of each pixel
+            left = np.diff(np.r_[at, len(cand)])
+            stored, won = depth[:, s], winner[:, s]
+            while len(at):
+                c, p = cand[at], cpix[at]
+                ok = zg[c] < stored[p]
+                c, p = c[ok], p[ok]
+                stored[p] = zg[c].astype(np.float32)
+                won[p] = j[c]
+                passed[c] = True
+                more = left > 1
+                at, left = at[more] + 1, left[more] - 1
+        lit += np.bincount(j[passed], minlength=len(tris))
 
-        rows, cols = np.nonzero(any_pass)
-        cx = x_lo + cols + 0.5
-        cy = y_lo + rows + 0.5
-        ec = [dx[i] * (cy - vy[i]) - dy[i] * (cx - vx[i]) for i in range(3)]
-        lam = np.stack([ec[1], ec[2], ec[0]], axis=1) / area2  # (P, 3)
-        iw_p = np.maximum(lam @ batch.iw[k], 1e-12)
-        wpos = (lam @ batch.wpos_iw[k]) / iw_p[:, None]
-        wnrm = normalize((lam @ batch.wnrm_iw[k]) / iw_p[:, None])
-        view_dir = normalize(eye - wpos)
-        facing = np.einsum("ij,ij->i", wnrm, view_dir)
-        wnrm = np.where(facing[:, None] < 0.0, -wnrm, wnrm)
+    covered = winner >= 0
+    if not covered.any():
+        return
+    key = (np.arange(len(winner))[:, None] * len(tris) + winner)[covered]
+    key, source = np.unique(key, return_inverse=True)  # one row per (pixel, winner)
+    pix, j = np.divmod(key, len(tris))
+    k = tris[j]
+    cx = pix % width + 0.5
+    cy = pix // width + band_y0 + 0.5
+    ec = dx[k] * (cy[:, None] - vy[k]) - dy[k] * (cx[:, None] - vx[k])
+    lam = ec[:, [1, 2, 0]] / area2[k, None]
+    iw_p, wpos_iw, wnrm_iw = _interpolate(batch, k, lam, lit[j] == 1)
+    iw_p = np.maximum(iw_p, 1e-12)
+    wpos = wpos_iw / iw_p[:, None]
+    wnrm = normalize(wnrm_iw / iw_p[:, None])
+    view_dir = normalize(eye - wpos)
+    facing = np.einsum("ij,ij->i", wnrm, view_dir)
+    wnrm = np.where(facing[:, None] < 0.0, -wnrm, wnrm)
 
-        mat = scene.materials[int(batch.material[k])]
-        sample = ShadingSample(position=wpos, normal=wnrm, view_dir=view_dir,
-                               base_color=mat.base_color, metallic=mat.metallic,
-                               roughness=mat.roughness)
-        lights = [(light, shadow_mask(tlas, wpos, wnrm, light.position)
-                   if shadows and tlas is not None else 1.0) for light in scene.lights]
-        color = shade_direct(sample, lights)
-        display = linear_to_srgb(reinhard_tonemap(color)).astype(np.float32)
-
-        grid = np.zeros((y_hi - y_lo, x_hi - x_lo, 3), dtype=np.float32)
-        grid[rows, cols] = display
-        for s in range(len(samples)):
-            ok = passed[s]
-            fb.color[y_lo:y_hi, x_lo:x_hi, s][ok] = grid[ok]
-            fb.depth[y_lo:y_hi, x_lo:x_hi, s][ok] = z_grids[s][ok].astype(np.float32)
+    mats = scene.materials
+    mat = batch.material[k]
+    sample = ShadingSample(
+        position=wpos, normal=wnrm, view_dir=view_dir,
+        base_color=np.array([m.base_color for m in mats], dtype=np.float64)[mat],
+        metallic=np.array([m.metallic for m in mats], dtype=np.float64)[mat],
+        roughness=np.array([m.roughness for m in mats], dtype=np.float64)[mat])
+    lights = [(light, shadow_mask(tlas, wpos, wnrm, light.position)
+               if shadows and tlas is not None else 1.0) for light in scene.lights]
+    display = linear_to_srgb(reinhard_tonemap(shade_direct(sample, lights))).astype(np.float32)
+    color = fb.color[band_y0:band_y1].reshape(len(winner), fb.samples, 3)
+    color[covered] = display[source]
 
 
 def main_pass(scene: Scene, tlas, config: RenderConfig, arena: VertexArena | None = None,

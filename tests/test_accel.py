@@ -535,6 +535,30 @@ def test_shadow_mask_matches_linear_solve_oracle():
     np.testing.assert_array_equal(shadow_mask(build_tlas([]), points, normals, light), np.ones(n))
 
 
+# A blocker within an ulp of t_max = dist - SHADOW_OFFSET: the answer
+# hangs on the last bit of dist, which the one-row product
+# x[:, None, :] @ x[:, :, None] gives as norm() of one vector does, while
+# np.linalg.norm(axis=1) rounds these rows the other way.
+@pytest.mark.parametrize("point, light, blocker, visible", [
+    ([0.353, -0.878, 0.111], [-0.561, 3.641, -1.632],
+     [[-0.5609814562503171, 2.9211657220669567, -3.4979685479580684],
+      [-2.526293578809423, 3.6547525216449013, -0.5654954162129185],
+      [1.4043306663087884, 4.346806710280125, -0.8324299469153452]], 1.0),
+    ([-0.613, -0.352, -0.814], [1.128, 2.109, -2.111],
+     [[1.1279469476465673, 1.1764248063114255, -3.8802663777120068],
+      [-0.5673934659909625, 3.513833532303078, -1.7210208313358175],
+      [2.8232873612840974, 1.6365166932007247, -0.7315942230560204]], 0.0),
+])
+def test_shadow_mask_segment_length_rounding(point, light, blocker, visible):
+    blas = build_blas(np.array(blocker), np.array([[0, 1, 2]]))
+    tlas = build_tlas([TlasInstance(blas=blas, transform=np.eye(4), node_name="w",
+                                    instance_id=0)])
+    # alone and as one row of a batch
+    points = [point, [0.0, 0.0, 0.0], point]
+    got = shadow_mask(tlas, points, [[0.0, 1.0, 0.0]] * 3, light)
+    assert got[0] == got[2] == visible
+
+
 # ---------------------------------------------------------------- debug dumps
 
 def test_dump_text_mentions_every_leaf():

@@ -6,6 +6,7 @@ pixel-square/half-plane clipping for MSAA coverage, and ray-plane
 intersection for depth-buffer content.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,9 +16,13 @@ from softrender.errors import ConfigurationError
 from softrender.framebuffer import SAMPLE_POSITIONS, create_framebuffer, ppm_bytes, resolve_msaa
 from softrender.frameloop import RenderConfig, build_scene_blases, make_tlas_instances
 from softrender.accel import build_tlas
+from softrender.gltf import load_gltf
 from softrender.linalg import translate
 from softrender.procedural import make_shadow_scene
 from softrender.raster import (
+    _interpolate,
+    _raster_band,
+    _TriangleBatch,
     build_draw_list,
     camera_matrices,
     main_pass,
@@ -31,6 +36,7 @@ from softrender.scene import (
     PointLight,
     Scene,
     SceneNode,
+    duplicate_scene_geometry,
     refresh_world_transforms,
 )
 from softrender.shading import linear_to_srgb, reinhard_tonemap
@@ -501,3 +507,81 @@ def test_missing_camera_is_configuration_error():
     scene.cameras = []
     with pytest.raises(ConfigurationError):
         main_pass(scene, None, config())
+
+
+# ------------------------------------------------- bit-exact main pass
+
+# recorded from the per-triangle raster loop: the visibility buffer must
+# give every colour and depth sample the same bits
+PINNED_MAIN_PASS_SHA256 = "85d046913b51d03369cfac776a4e127f58d919c3d111d0367c4276af3ef216fd"
+
+
+def test_main_pass_corpus_matches_pinned_sha256(bench_gltf):
+    """bench.gltf at d=0..2, MSAA 1/4/8, shadows off and on, 1 and 3 workers."""
+    digest = hashlib.sha256()
+    base = load_gltf(bench_gltf)
+    refresh_world_transforms(base)
+    for d in range(3):
+        scene = duplicate_scene_geometry(base, d)
+        refresh_world_transforms(scene)
+        tlas = build_tlas(make_tlas_instances(scene, build_scene_blases(scene)), frame_index=0)
+        for msaa in (1, 4, 8):
+            for shadows in (False, True):
+                for workers in (1, 3):
+                    fb = main_pass(scene, tlas, config(width=96, height=72, msaa=msaa,
+                                                       shadows=shadows, workers=workers))
+                    digest.update(fb.color.tobytes())
+                    digest.update(fb.depth.tobytes())
+    assert digest.hexdigest() == PINNED_MAIN_PASS_SHA256
+
+
+def test_depth_tie_below_float32_resolution_goes_to_later_triangle():
+    """zg_a < zg_b < float32(zg_a): b passes against a's stored float32
+    depth, so b wins although a float64 minimum would pick a."""
+    z_a, z_b = 0.5 - 2.0 ** -30, 0.5 - 2.0 ** -31  # float32 of both is 0.5
+    assert z_a < z_b < float(np.float32(z_a))
+    scene = Scene(materials=[gray_material(0, base=0.9), gray_material(1, base=0.2)],
+                  lights=[PointLight(position=[0.0, 0.0, 1.0], intensity=[5.0] * 3)])
+    xy = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])  # exact edge functions, so zg == z
+    wpos = np.array([[-1.0, 1.0, -2.0], [1.0, 1.0, -2.0], [-1.0, -1.0, -2.0]])
+
+    def render(*tris):
+        batch = _TriangleBatch(
+            xy=np.array([xy] * len(tris)), z=np.array([[z] * 3 for z, _ in tris]),
+            iw=np.ones((len(tris), 3)), wpos_iw=np.array([wpos] * len(tris)),
+            wnrm_iw=np.tile([0.0, 0.0, 1.0], (len(tris), 3, 1)),
+            material=np.array([m for _, m in tris], dtype=np.int32),
+            bbox=np.array([[0.0, 8.0, 0.0, 8.0]] * len(tris)))
+        fb = create_framebuffer(8, 8, 4)
+        _raster_band(fb, batch, scene, None, np.zeros(3), False, 0, 8)
+        return fb
+
+    both, only_a, only_b = render((z_a, 0), (z_b, 1)), render((z_a, 0)), render((z_b, 1))
+    covered = np.isfinite(only_b.depth)
+    assert covered.sum() > 100
+    assert np.array_equal(both.depth, only_b.depth)
+    assert np.all(both.depth[covered] == np.float32(0.5))
+    assert np.array_equal(both.color, only_b.color)
+    assert not np.any(np.all(only_a.color[covered] == only_b.color[covered], axis=-1))
+
+
+def test_interpolate_matches_per_triangle_products():
+    """Bit for bit against lam @ iw[k], lam @ wpos_iw[k] and lam @ wnrm_iw[k]
+    over each triangle's own rows, many of them one-pixel triangles."""
+    rng = np.random.default_rng(83)
+    count = 400
+    batch = _TriangleBatch(
+        xy=np.zeros((count, 3, 2)), z=np.zeros((count, 3)),
+        iw=rng.uniform(0.02, 2.0, (count, 3)), wpos_iw=rng.normal(0.0, 4.0, (count, 3, 3)),
+        wnrm_iw=rng.normal(0.0, 1.0, (count, 3, 3)),
+        material=np.zeros(count, dtype=np.int32), bbox=np.zeros((count, 4)))
+    rows = rng.choice([1, 1, 1, 2, 3, 7, 30], count)
+    k = np.repeat(np.arange(count), rows)
+    lam = rng.uniform(0.0, 1.0, (len(k), 3))
+    lam /= lam.sum(axis=1, keepdims=True)
+    want = [np.concatenate([lam[k == t] @ attr[t] for t in range(count)])
+            for attr in (batch.iw, batch.wpos_iw, batch.wnrm_iw)]
+    order = rng.permutation(len(k))  # rows of all triangles interleaved
+    got = _interpolate(batch, k[order], lam[order], rows[k[order]] == 1)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w[order].tobytes()
