@@ -2,10 +2,16 @@
 
 A Blas (bottom level) is built once per geometry over object-space
 triangles with a binned surface-area heuristic, whose split search
-sweeps every (axis, bin) at once.  A Tlas (top level) is rebuilt from
-scratch every frame over the world-space boxes of the instances, working
-on stacked instance arrays: one corner transform gives every world box
-and one batched inversion every inverse.  Queries run in batches: rays
+sweeps every (axis, bin) at once; the build splits one node at a time.
+A Tlas (top level) is rebuilt from scratch every frame over the
+world-space boxes of the instances, working on stacked instance arrays:
+one corner transform gives every world box, one batched inversion every
+inverse, and the level-synchronous build splits every node of one depth
+in one array step.  It returns the per-node build's arrays bit for bit,
+and that build stays the reference tests compare it against.  The BLAS
+keeps the per-node build because it runs once per geometry at set-up on
+trees that are nearly chains, where a level step costs more than the
+one node it splits.  Queries run in batches: rays
 walk each level as a frontier of (ray, node) pairs, every (ray, instance)
 pair moves into that instance's object space (so t stays in world
 units), and Moller-Trumbore runs over all (ray, triangle) pairs at once.
@@ -168,35 +174,164 @@ def _build_bvh(box_lo: np.ndarray, box_hi: np.ndarray, leaf_max: int):
 def _sah_split(lo: np.ndarray, hi: np.ndarray, centroids: np.ndarray):
     """Best 16-bin SAH split over all three axes, or None if no axis works.
 
-    Cost for splitting after bin b is area_L * n_L + area_R * n_R, taken
-    for every (axis, bin) at once from prefix and suffix sweeps over the
-    bins; ties resolve to the lower axis then the lower bin, so the
-    partition is a pure function of the input boxes.
+    Ties resolve to the lower axis then the lower bin, so the partition
+    is a pure function of the input boxes.
     """
     cmin = centroids.min(axis=0)
-    extent = centroids.max(axis=0) - cmin
-    # a zero-extent axis bins everything at 0, so all its right sides are empty
-    rel = (centroids - cmin) / np.where(extent > 0.0, extent, 1.0)
-    bins = np.minimum((rel * SAH_BINS).astype(np.int64), SAH_BINS - 1)  # (n, axis)
-    at = (np.arange(3), bins)
-    bin_lo = np.full((3, SAH_BINS, 3), np.inf)
-    bin_hi = np.full((3, SAH_BINS, 3), -np.inf)
-    bin_n = np.zeros((3, SAH_BINS), dtype=np.int64)
-    np.minimum.at(bin_lo, at, lo[:, None])
-    np.maximum.at(bin_hi, at, hi[:, None])
-    np.add.at(bin_n, at, 1)
-    nl = np.cumsum(bin_n, axis=1)[:, :-1]
-    nr = len(lo) - nl
-    al = _surface_area(np.minimum.accumulate(bin_lo, axis=1),
-                       np.maximum.accumulate(bin_hi, axis=1))[:, :-1]
-    ar = _surface_area(np.minimum.accumulate(bin_lo[:, ::-1], axis=1),
-                       np.maximum.accumulate(bin_hi[:, ::-1], axis=1))[:, ::-1][:, 1:]
-    cost = np.where((nl > 0) & (nr > 0), al * nl + ar * nr, np.inf)
+    bins = _bin_index(centroids, cmin, centroids.max(axis=0) - cmin)  # (n, axis)
+    key = (bins * 3 + np.arange(3)).ravel()  # (bin, axis)
+    table = _min_at(SAH_BINS * 3, key, np.repeat(np.concatenate([lo, -hi], axis=1), 3, axis=0))
+    bin_n = np.bincount(key, minlength=SAH_BINS * 3).reshape(SAH_BINS, 3)
+    table = table.reshape(SAH_BINS, 3, 6)
+    cost = _sah_cost(np.minimum.accumulate(table, axis=0),
+                     np.minimum.accumulate(table[::-1], axis=0)[::-1], bin_n, len(lo)).T
     best = int(np.argmin(cost))  # first minimum in axis-major order
     if not cost.flat[best] < np.inf:
         return None
     axis, b = divmod(best, SAH_BINS - 1)
     return bins[:, axis] <= b
+
+
+def _bin_index(centroids, cmin, extent):
+    """SAH bin of each centroid on each axis, given its node's centroid bounds."""
+    # a zero-extent axis bins everything at 0, so all its right sides are empty
+    rel = (centroids - cmin) / np.where(extent > 0.0, extent, 1.0)
+    return np.minimum((rel * SAH_BINS).astype(np.int64), SAH_BINS - 1)
+
+
+def _sah_cost(pre, suf, bin_n, count):
+    """(SAH_BINS - 1, ...) cost of splitting after each bin; inf where a side is empty.
+
+    pre[b] and suf[b] are the [lo, -hi] boxes of bins 0..b and of bins
+    b..SAH_BINS - 1, inf where those bins are empty; bin_n holds the
+    (SAH_BINS, ...) bin counts.  The cost after bin b is
+    area_L * n_L + area_R * n_R.
+    """
+    nl = np.cumsum(bin_n, axis=0)[:-1]
+    nr = count - nl
+    al = _surface_area(pre[:-1, ..., :3], -pre[:-1, ..., 3:])
+    ar = _surface_area(suf[1:, ..., :3], -suf[1:, ..., 3:])
+    return np.where((nl > 0) & (nr > 0), al * nl + ar * nr, np.inf)
+
+
+def _min_sweep(table):
+    """np.minimum.accumulate(table, axis=0), one whole-row step per bin.
+
+    numpy's accumulate walks each column on its own, which on a level's
+    (SAH_BINS, nodes, 3, 6) table is up to 20 times slower.
+    """
+    out = table.copy()
+    for b in range(1, len(out)):
+        np.minimum(out[b - 1], out[b], out=out[b])
+    return out
+
+
+def _min_at(rows: int, key: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(rows, C) column-wise np.minimum of the value rows that share a key; inf where none.
+
+    Rows fold in input order, so a tie between 0.0 and -0.0 keeps the
+    later one, as a sequential .min(axis=0) over the same rows does.
+    """
+    c = values.shape[1]
+    table = np.full(rows * c, np.inf)
+    np.minimum.at(table, (key[:, None] * c + np.arange(c)).ravel(), values.ravel())
+    return table.reshape(rows, c)
+
+
+def _build_bvh_levels(box_lo: np.ndarray, box_hi: np.ndarray, leaf_max: int):
+    """_build_bvh's exact result, built one tree depth at a time.
+
+    Each step splits every node of one depth that holds more than leaf_max
+    elements: one np.minimum.at bins all their elements by (node, axis,
+    bin), the first minimum of each node's (axis, bin) costs picks its
+    split, and a stable sort on (node, side) partitions them all while
+    keeping the order boolean-mask indexing gives.  Every bound is a
+    minimum (a maximum is the minimum of the negated values) folded over
+    a node's elements in the per-node build's order, so it matches to the
+    bit, signed zeros included.  Nodes are numbered breadth first, then
+    renumbered: there, as here, the j-th internal node has children
+    2j + 1 and 2j + 2, but j counts internal nodes in pre-order there.
+    """
+    n = len(box_lo)
+    centroids = (box_lo + box_hi) * 0.5
+    # per element: [lo, -hi, centroid, -centroid], so a min gives every bound
+    folded = np.concatenate([box_lo, -box_hi, centroids, -centroids], axis=1)
+    order = np.arange(n, dtype=np.int64)
+    # the nodes of one depth: slice [start, end) of order, folded bounds, breadth-first id
+    start, end = np.zeros(1, np.int64), np.full(1, n, np.int64)
+    bounds = _min_at(1, np.zeros(n, np.int64), folded)
+    ids = np.zeros(1, np.int64)
+    starts, ends, boxes, splits = [start], [end], [bounds[:, :6]], [ids[:0]]
+    while True:
+        split = end - start > leaf_max
+        start, end, bounds, ids = start[split], end[split], bounds[split], ids[split]
+        if not len(ids):
+            break
+        count = end - start
+        seg = np.repeat(np.arange(len(ids)), count)
+        pos = np.arange(len(seg)) + np.repeat(start - (np.cumsum(count) - count), count)
+        idx = order[pos]
+        right = _level_sides(folded[idx], seg, count, bounds)
+        child = seg * 2 + right
+        sort = np.argsort(child, kind="stable")
+        order[pos] = idx = idx[sort]
+        mid = end - np.bincount(seg[right], minlength=len(ids))
+        bounds = _min_at(2 * len(ids), child[sort], folded[idx])
+        first = 2 * sum(map(len, splits)) + 1  # breadth-first id of this level's first child
+        splits.append(ids)
+        ids = first + np.arange(2 * len(ids))
+        start, end = np.stack([start, mid], axis=1).ravel(), np.stack([mid, end], axis=1).ravel()
+        starts.append(start)
+        ends.append(end)
+        boxes.append(bounds[:, :6])
+
+    start, end, box = np.concatenate(starts), np.concatenate(ends), np.concatenate(boxes)
+    depth = np.repeat(np.arange(len(starts)), list(map(len, starts)))
+    # in either order the j-th internal node's children are 2j + 1 and 2j + 2
+    inner = np.concatenate(splits)
+    left = np.full(len(start), -1, np.int64)
+    left[inner] = 2 * np.arange(len(inner)) + 1
+    preorder = np.lexsort((depth, start))  # a left child starts where its parent starts
+    first_child = left[preorder[left[preorder] >= 0]]
+    number = np.zeros(len(start), np.int64)  # the per-node build's index of each node
+    number[first_child] = 2 * np.arange(len(first_child)) + 1
+    number[first_child + 1] = number[first_child] + 1
+    node = np.argsort(number)
+    inner, kid = left[node] >= 0, number[left[node]]
+    return (box[node, :3], -box[node, 3:],
+            np.where(inner, kid, -1).astype(np.int32),
+            np.where(inner, kid + 1, -1).astype(np.int32),
+            np.where(inner, -1, start[node]).astype(np.int32),
+            np.where(inner, 0, end[node] - start[node]).astype(np.int32),
+            order)
+
+
+def _level_sides(folded, seg, count, bounds):
+    """True for the elements that go right when every node of a level splits.
+
+    folded holds each element's [lo, -hi, centroid, -centroid], seg its
+    node, count and bounds each node's size and folded minimum.
+    """
+    nodes = len(count)
+    cmin = bounds[:, 6:9]
+    bins = _bin_index(folded[:, 6:9], cmin[seg], (-bounds[:, 9:] - cmin)[seg])
+    key = ((bins * nodes + seg[:, None]) * 3 + np.arange(3)).ravel()  # (bin, node, axis)
+    table = _min_at(SAH_BINS * nodes * 3, key, np.repeat(folded[:, :6], 3, axis=0))
+    bin_n = np.bincount(key, minlength=SAH_BINS * nodes * 3).reshape(SAH_BINS, nodes, 3)
+    table = table.reshape(SAH_BINS, nodes, 3, 6)
+    cost = _sah_cost(_min_sweep(table), _min_sweep(table[::-1])[::-1], bin_n, count[:, None])
+    cost = cost.transpose(1, 2, 0).reshape(nodes, -1)  # per node, axis-major
+    best = np.argmin(cost, axis=1)  # first minimum in axis-major order
+    axis, b = np.divmod(best, SAH_BINS - 1)
+    right = bins[np.arange(len(seg)), axis[seg]] > b[seg]
+    for j in np.flatnonzero(~(cost[np.arange(nodes), best] < np.inf)):
+        # degenerate spread: median split keeps the tree balanced
+        rows = np.flatnonzero(seg == j)
+        extent = -bounds[j, 3:6] - bounds[j, :3]
+        right[rows] = True
+        right[rows[np.argsort(folded[rows, 6 + int(np.argmax(extent))],
+                              kind="stable")[:count[j] // 2]]] = False
+    return right
 
 
 @dataclass
@@ -352,7 +487,7 @@ def build_tlas(instances: list[TlasInstance], frame_index: int = 0) -> Tlas:
     world = corners @ transforms[:, :3, :3].transpose(0, 2, 1) + transforms[:, None, :3, 3]
     world_lo = world.min(axis=1)
     world_hi = world.max(axis=1)
-    *nodes, order = _build_bvh(world_lo, world_hi, LEAF_MAX_INSTANCES)
+    *nodes, order = _build_bvh_levels(world_lo, world_hi, LEAF_MAX_INSTANCES)
     return Tlas(*nodes, instances=list(instances),
                 inst_order=order, inv_transforms=np.linalg.inv(transforms),
                 world_lo=world_lo, world_hi=world_hi,

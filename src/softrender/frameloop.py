@@ -182,6 +182,7 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     select_camera(scene, config.camera)  # fail before any work if absent
     blases = build_scene_blases(scene)
     arena = pack_vertex_arena(scene)
+    triangles = scene.total_triangles()  # the draw list's total; poses do not change it
     resources = FrameResources(config)
     stats = FrameStats()
     images = []
@@ -223,8 +224,7 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
 
         camera = select_camera(scene, config.camera)
         eye = scene.world[camera.node][:3, 3]
-        frame_ms = (t3 - t0) * 1000.0
-        image = overlay_pass(image, i, frame_ms, eye, enabled=config.overlay)
+        image = overlay_pass(image, i, triangles, eye, enabled=config.overlay)
         t4 = time.perf_counter()
 
         if output_prefix is not None:

@@ -8,7 +8,8 @@ perspective cameras, and KHR_lights_punctual point lights.
 
 Anything outside that subset raises UnsupportedFeatureError naming the
 feature rather than degrading silently; structural problems (dangling
-indices, duplicate names, cycles) raise ValidationError.
+indices, duplicate names, cycles, non-finite or singular node transforms)
+raise ValidationError.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 
 from .errors import ParseError, UnsupportedFeatureError, ValidationError
 from .linalg import compose_trs, mat_from_column_major, normalize
-from .scene import Camera, MaterialPbr, MeshGeometry, PointLight, Scene, SceneNode
+from .scene import (Camera, MaterialPbr, MeshGeometry, PointLight, Scene, SceneNode,
+                    check_invertible)
 
 _COMPONENT_DTYPES = {
     5120: ("<i1", 1),
@@ -266,15 +268,20 @@ def _parse_geometry(d: _Document, mesh_index: int, mesh: dict) -> MeshGeometry:
 
 def _node_local(node: dict, name: str) -> np.ndarray:
     has_trs = any(k in node for k in ("translation", "rotation", "scale"))
-    if "matrix" in node:
-        if has_trs:
-            raise ValidationError(f"node '{name}' has both matrix and TRS")
-        return mat_from_column_major(node["matrix"])
-    return compose_trs(
-        node.get("translation", (0.0, 0.0, 0.0)),
-        node.get("rotation", (0.0, 0.0, 0.0, 1.0)),
-        node.get("scale", (1.0, 1.0, 1.0)),
-    )
+    if "matrix" in node and has_trs:
+        raise ValidationError(f"node '{name}' has both matrix and TRS")
+    try:
+        if "matrix" in node:
+            local = mat_from_column_major(node["matrix"])
+        else:
+            local = compose_trs(
+                node.get("translation", (0.0, 0.0, 0.0)),
+                node.get("rotation", (0.0, 0.0, 0.0, 1.0)),
+                node.get("scale", (1.0, 1.0, 1.0)),
+            )
+    except (TypeError, ValueError) as exc:  # wrong length or not numbers
+        raise ValidationError(f"node '{name}' has a malformed transform ({exc})") from exc
+    return local
 
 
 def parse_gltf_subset(data, base_dir=None) -> Scene:
@@ -407,6 +414,8 @@ def parse_gltf_subset(data, base_dir=None) -> Scene:
     for mi, err in mesh_errors.items():
         if mi not in mesh_to_geometry:
             raise ValidationError(f"mesh {mi}: {err}")
+    check_invertible([n.name for n in scene.nodes],
+                     np.array([n.local for n in scene.nodes]).reshape(-1, 4, 4), "node")
 
     from .scene import compute_world_transforms
 

@@ -102,13 +102,14 @@ def render_text(pixels: np.ndarray, text: str, x: int, y: int) -> None:
     box[:] = np.where(ink[gy0:gy1, gx0:gx1, None], np.uint8(255), np.uint8(0))
 
 
-def format_stats(frame_index: int, frame_time_ms: float, camera_position) -> str:
+def format_stats(frame_index: int, triangle_count: int, camera_position) -> str:
+    """The stats line: only values derived from the input, so frames repeat byte for byte."""
     p = np.asarray(camera_position, dtype=np.float64)
-    return (f"FRAME {frame_index:04d} {frame_time_ms:7.2f} MS "
+    return (f"FRAME {frame_index:04d} {int(triangle_count):6d} TRI "
             f"CAM ({p[0]:+.2f} {p[1]:+.2f} {p[2]:+.2f})")
 
 
-def overlay_pass(image: LdrImage, frame_index: int, frame_time_ms: float,
+def overlay_pass(image: LdrImage, frame_index: int, triangle_count: int,
                  camera_position, enabled: bool = True) -> LdrImage:
     """Composite the stats line over the frame as a full-size layer.
 
@@ -119,7 +120,7 @@ def overlay_pass(image: LdrImage, frame_index: int, frame_time_ms: float,
     """
     if not enabled:
         return image
-    text = format_stats(frame_index, frame_time_ms, camera_position)
+    text = format_stats(frame_index, triangle_count, camera_position)
     h, w = image.height, image.width
     line = _line_ink(text)
     ink = np.zeros((h, w), dtype=bool)

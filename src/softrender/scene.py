@@ -119,7 +119,8 @@ class Scene:
         return [n for n in self.nodes if n.mesh_instance is not None]
 
     def total_triangles(self) -> int:
-        return sum(self.geometries[n.mesh_instance[0]].triangle_count for n in self.mesh_nodes())
+        per_geometry = [g.triangle_count for g in self.geometries]
+        return sum(per_geometry[n.mesh_instance[0]] for n in self.nodes if n.mesh_instance is not None)
 
 
 def validate_scene(scene: Scene) -> None:
@@ -176,6 +177,26 @@ def refresh_world_transforms(scene: Scene) -> None:
     scene.world = compute_world_transforms(scene)
 
 
+def check_invertible(names, mats: np.ndarray, what: str) -> None:
+    """Raise ValidationError unless every one of the (N, 4, 4) mats is finite and invertible.
+
+    The message names the first bad matrix as "{what} '{name}'".  The TLAS
+    build and the renderer invert every node transform, so a matrix that
+    fails here would otherwise surface as a LinAlgError mid-frame.
+    """
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(f"{what} '{names[int(np.argmin(finite))]}' holds a non-finite matrix")
+    try:
+        np.linalg.inv(mats)
+    except np.linalg.LinAlgError:
+        for name, mat in zip(names, mats):  # find the culprit
+            try:
+                np.linalg.inv(mat)
+            except np.linalg.LinAlgError as exc:
+                raise ValidationError(f"{what} '{name}' holds a singular matrix ({exc})") from exc
+
+
 def apply_transform_table(scene: Scene, snapshot) -> int:
     """Overwrite node world transforms from an interchange snapshot.
 
@@ -190,12 +211,7 @@ def apply_transform_table(scene: Scene, snapshot) -> int:
                         dtype=np.float64).reshape(-1, 4, 4)
     except ValueError as exc:
         raise ValidationError(f"pose snapshot holds a matrix that is not 4x4 ({exc})") from exc
-    if not np.all(np.isfinite(mats)):
-        raise ValidationError("pose snapshot holds a non-finite matrix")
-    try:
-        np.linalg.inv(mats)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"pose snapshot holds a singular matrix ({exc})") from exc
+    check_invertible([name for name, _ in snapshot.entries], mats, "pose snapshot entry")
     unmatched = 0
     for (name, _), mat in zip(snapshot.entries, mats):
         if name in scene.world:

@@ -12,6 +12,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softrender import accel
 from softrender.accel import (
@@ -39,7 +41,7 @@ from softrender.accel import (
 from softrender.frameloop import build_scene_blases, make_tlas_instances
 from softrender.gltf import load_gltf
 from softrender.linalg import rotate_y, rotate_z, translate, scale
-from softrender.procedural import cube_geometry, plane_geometry, sphere_geometry
+from softrender.procedural import cube_geometry, make_demo_scene, plane_geometry, sphere_geometry
 
 
 # ---------------------------------------------------------------- fixtures
@@ -298,10 +300,14 @@ def test_coincident_centroids_take_the_median_split():
 # sha256 of the serialized builds below, recorded from the per-axis,
 # per-bin loop form of the SAH search and the per-instance TLAS build:
 # the whole-array forms must reproduce every split, box and inverse.
+# "wide_tlas" (1,024 instances, recorded from the per-node TLAS build) has
+# 1,023 nodes, so breadth-first and depth-first numbering differ on
+# nearly all of them.
 PINNED_BUILD_SHA256 = {
     "blas": "501f28e43e00dab596f54d31235f211eade91863baf1b2cbdc19bf75ea10fac3",
     "compact_blas": "a4700ac6ed88d8b870d41829003d7b780735d85f75ea132cb8d99b973f381d0e",
     "tlas": "8ff45a5b550b9700bf79607d553b56e8281e4b9621547f5e1e963fe28d5a6a31",
+    "wide_tlas": "22fb5bb341ba39dcf22b488ac2c730d405800a629859dc87f6b0b02a30186063",
 }
 
 
@@ -311,14 +317,53 @@ def test_serialized_builds_match_pinned_sha256():
     instances = [TlasInstance(blas=blas, node_name=f"n{i}", instance_id=i,
                               transform=translate(*rng.uniform(-6.0, 6.0, 3)) @ rotate_y(0.3 * i))
                  for i in range(24)]
+    wide = make_demo_scene(1024)
 
     def sha(data):
         return hashlib.sha256(data).hexdigest()
 
     assert {"blas": sha(serialize_blas(blas)),
             "compact_blas": sha(serialize_blas(compact_blas(blas))),
-            "tlas": sha(serialize_tlas(build_tlas(instances, frame_index=5)))} \
+            "tlas": sha(serialize_tlas(build_tlas(instances, frame_index=5))),
+            "wide_tlas": sha(serialize_tlas(build_tlas(
+                make_tlas_instances(wide, build_scene_blases(wide)))))} \
         == PINNED_BUILD_SHA256
+
+
+def box_set(kind, n, seed):
+    """(lo, hi) of n boxes; every kind but "spread" makes ties of some sort."""
+    rng = np.random.default_rng(seed)
+    if kind == "spread":
+        lo = rng.normal(0.0, 4.0, (n, 3))
+        return lo, lo + rng.uniform(0.0, 1.0, (n, 3))
+    if kind == "grid":  # duplicate boxes, zero-extent axes, 0.0 beside -0.0
+        lo = rng.choice([-0.0, 0.0, 1.0, 2.5], (n, 3))
+        return lo, lo + rng.choice([-0.0, 0.0, 1.0], (n, 3))
+    if kind == "flat":  # every box flat on one axis, and all at one coordinate on another
+        lo = rng.normal(0.0, 4.0, (n, 3))
+        hi = lo + rng.uniform(0.0, 1.0, (n, 3))
+        a, b = rng.permutation(3)[:2]
+        hi[:, a] = lo[:, a]
+        lo[:, b] = hi[:, b] = 0.5
+        return lo, hi
+    # "coincident": boxes of many sizes around one to three shared centroids,
+    # so whole nodes have no centroid spread and take the median split
+    centers = rng.normal(0.0, 4.0, (3, 3))[rng.integers(0, rng.integers(1, 4), n)]
+    half = rng.uniform(0.0, 1.0, (n, 3))
+    return centers - half, centers + half
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["spread", "grid", "flat", "coincident"]),
+       n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), leaf_max=st.sampled_from([2, 4]))
+def test_level_build_matches_per_node_build(kind, n, seed, leaf_max):
+    lo, hi = box_set(kind, n, seed)
+    got = accel._build_bvh_levels(lo, hi, leaf_max)
+    want = accel._build_bvh(lo, hi, leaf_max)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
 
 
 # ---------------------------------------------------------------- traversal

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softrender.accel import build_tlas
 from softrender.errors import ParseError, SceneError, UnsupportedFeatureError, ValidationError
+from softrender.frameloop import build_scene_blases, make_tlas_instances
 from softrender.gltf import generate_vertex_normals, load_gltf, parse_gltf_subset
 from softrender.linalg import compose_trs
 
@@ -401,6 +403,23 @@ def test_matrix_and_trs_together_rejected():
         parse(doc)
 
 
+@pytest.mark.parametrize("transform, needle", [
+    ({"scale": [0.0, 0.0, 0.0]}, "holds a singular matrix"),
+    ({"matrix": [1.0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]}, "holds a singular matrix"),
+    ({"matrix": [1.0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, float("inf"), 0, 0, 1]},
+     "holds a non-finite matrix"),
+    ({"matrix": [1.0, 0.0, 0.0]}, "has a malformed transform"),
+    ({"scale": [1.0, 1.0]}, "has a malformed transform"),
+    ({"translation": "abc"}, "has a malformed transform"),
+], ids=["zero-scale", "flat-matrix", "infinite-matrix", "short-matrix", "short-scale",
+        "text-translation"])
+def test_bad_node_transform_rejected(transform, needle):
+    doc = tri_doc()
+    doc["nodes"][0].update(transform)
+    with pytest.raises(ValidationError, match=f"node 'tri' {needle}"):
+        parse(doc)
+
+
 def test_no_scenes_rejected():
     doc = tri_doc()
     del doc["scenes"]
@@ -496,18 +515,23 @@ _field_values = st.one_of(st.integers(-16, 128),
 @given(data=st.data())
 def test_mutated_document_fails_only_with_scene_errors(triangle_gltf, data):
     doc = json.loads(triangle_gltf.read_text())
-    # every integer field, plus the strides and accessor offsets the file leaves out
+    # every integer field, plus the strides and accessor offsets the file
+    # leaves out, plus a zero scale on the mesh node
     paths = (int_paths(doc) + [("bufferViews", i, "byteStride") for i in range(4)]
-             + [("accessors", i, "byteOffset") for i in range(4)])
+             + [("accessors", i, "byteOffset") for i in range(4)] + ["zero scale"])
     for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+        if path == "zero scale":
+            doc["nodes"][0]["scale"] = [0.0, 0.0, 0.0]
+            continue
         target = doc
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = data.draw(_field_values)
     head, payload = doc["buffers"][0]["uri"].split(",")
-    cut = data.draw(st.integers(0, len(payload)))
+    cut = data.draw(st.just(len(payload)) | st.integers(0, len(payload)))
     doc["buffers"][0]["uri"] = f"{head},{payload[:cut]}"
     try:
-        parse(doc)
+        scene = parse(doc)
     except SceneError:
-        pass
+        return
+    build_tlas(make_tlas_instances(scene, build_scene_blases(scene)))  # a loaded scene renders

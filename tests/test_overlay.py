@@ -1,9 +1,13 @@
 """Stats overlay tests: formatting, stamping, clipping, determinism."""
 
+import hashlib
+
 import numpy as np
 
-from softrender.framebuffer import LdrImage
+from softrender.framebuffer import LdrImage, ppm_bytes
+from softrender.frameloop import RenderConfig, run_frame_loop
 from softrender.overlay import CELL, format_stats, overlay_pass, render_text
+from softrender.procedural import make_triangle_scene
 
 
 def gray(h, w, v=90):
@@ -11,15 +15,24 @@ def gray(h, w, v=90):
 
 
 def test_format_stats_layout():
-    s = format_stats(7, 3.25, (1.5, -2.25, 0.0))
-    assert s == "FRAME 0007    3.25 MS CAM (+1.50 -2.25 +0.00)"
+    s = format_stats(7, 36, (1.5, -2.25, 0.0))
+    assert s == "FRAME 0007     36 TRI CAM (+1.50 -2.25 +0.00)"
 
 
-def test_format_stats_pads_frame_and_time():
-    s = format_stats(1234, 123.5, (0.0, 0.0, 0.0))
-    assert s.startswith("FRAME 1234  123.50 MS ")
-    s2 = format_stats(0, 0.0, (10.0, 0.0, -3.5))
+def test_format_stats_pads_frame_and_triangles():
+    s = format_stats(1234, 19904, (0.0, 0.0, 0.0))
+    assert s.startswith("FRAME 1234  19904 TRI ")
+    s2 = format_stats(0, 0, (10.0, 0.0, -3.5))
     assert "(+10.00 +0.00 -3.50)" in s2
+    # the box framebench masks is sized from this line, so its length is fixed
+    assert len(format_stats(0, 0.0, (0.0, 0.0, 0.0))) == len("FRAME 0000    0.00 MS CAM (+0.00 +0.00 +0.00)")
+
+
+def test_frames_with_overlay_repeat_byte_for_byte():
+    config = RenderConfig(width=320, height=60, overlay=True)
+    shas = {hashlib.sha256(ppm_bytes(run_frame_loop(make_triangle_scene(), config, 1)[0][0])).hexdigest()
+            for _ in range(2)}
+    assert len(shas) == 1
 
 
 def test_render_text_stamps_opaque_cell():
@@ -94,14 +107,14 @@ def test_lowercase_maps_to_uppercase():
 
 def test_overlay_pass_disabled_is_identity():
     img = LdrImage(pixels=gray(24, 200))
-    out = overlay_pass(img, 3, 1.0, (0, 0, 0), enabled=False)
+    out = overlay_pass(img, 3, 36, (0, 0, 0), enabled=False)
     assert out is img
 
 
 def test_overlay_pass_copies_and_stamps_top_left():
     img = LdrImage(pixels=gray(24, 400))
     before = img.pixels.copy()
-    out = overlay_pass(img, 12, 8.5, (1.0, 2.0, 3.0))
+    out = overlay_pass(img, 12, 36, (1.0, 2.0, 3.0))
     assert np.array_equal(img.pixels, before)  # source untouched
     assert not np.array_equal(out.pixels, before)
     assert np.all(out.pixels[0:2, :] == 90)   # stamp starts at (2, 2)
@@ -111,8 +124,8 @@ def test_overlay_pass_copies_and_stamps_top_left():
 
 def test_overlay_pass_deterministic():
     img = LdrImage(pixels=gray(32, 400))
-    a = overlay_pass(img, 5, 2.25, (0.5, -0.5, 4.0))
-    b = overlay_pass(img, 5, 2.25, (0.5, -0.5, 4.0))
+    a = overlay_pass(img, 5, 36, (0.5, -0.5, 4.0))
+    b = overlay_pass(img, 5, 36, (0.5, -0.5, 4.0))
     assert np.array_equal(a.pixels, b.pixels)
-    c = overlay_pass(img, 6, 2.25, (0.5, -0.5, 4.0))
+    c = overlay_pass(img, 6, 36, (0.5, -0.5, 4.0))
     assert not np.array_equal(a.pixels, c.pixels)
