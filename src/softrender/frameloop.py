@@ -24,7 +24,7 @@ from .errors import ConfigurationError, ValidationError
 from .framebuffer import SAMPLE_POSITIONS, create_framebuffer, resolve_msaa, write_image
 from .fxaa import fxaa_pass
 from .overlay import overlay_pass
-from .raster import build_draw_list, main_pass, pack_vertex_arena, select_camera
+from .raster import build_draw_list, main_pass, select_camera
 from .scene import Scene, apply_transform_table, refresh_world_transforms
 
 SLOT_COUNT = 2
@@ -181,7 +181,6 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
         refresh_world_transforms(scene)
     select_camera(scene, config.camera)  # fail before any work if absent
     blases = build_scene_blases(scene)
-    arena = pack_vertex_arena(scene)
     triangles = scene.total_triangles()  # the draw list's total; poses do not change it
     resources = FrameResources(config)
     stats = FrameStats()
@@ -214,7 +213,7 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
 
         draws = build_draw_list(scene)
         fb = resources.framebuffer(slot)
-        main_pass(scene, tlas, config, arena=arena, draws=draws, fb=fb)
+        main_pass(scene, tlas, config, draws=draws, fb=fb)
         t2 = time.perf_counter()
 
         image = resolve_msaa(fb)

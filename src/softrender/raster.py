@@ -1,15 +1,18 @@
 """Sorted draw submission and the multisampled raster + shade pass.
 
-Draws are sorted by (material id, vertex arena segment) with node name
-as the tie break, mirroring a command-buffer submission path that
-minimizes pipeline and binding switches.  The pass itself is a
-visibility buffer over per-sample coverage and depth:
+Draws are sorted by (material id, geometry id) with node name as the
+tie break, mirroring a command-buffer submission path that minimizes
+pipeline and binding switches.  The geometry stage makes one array pass
+per geometry over the stacked world matrices of its draws: transform,
+frustum cull, near clip and project, then one reorder back to
+submission order.  The pass itself is a visibility buffer over
+per-sample coverage and depth:
 
   - column-major MVP convention, right-handed view space, depth in
     [0, 1] with a less-than test;
-  - geometry is clipped against the near plane only (polygon clip with
-    linear attribute interpolation), far overflow is left to the depth
-    range;
+  - geometry is clipped against the near plane only (Sutherland-Hodgman
+    polygon clip with linear attribute interpolation), far overflow is
+    left to the depth range;
   - fill follows a top-left rule on exact edge-function zeros;
   - coverage and depth of all (triangle, pixel) pairs are computed as
     arrays, and the depth rule is sequential: in submission order a
@@ -36,8 +39,8 @@ import numpy as np
 from .accel import shadow_mask
 from .errors import ConfigurationError, ValidationError
 from .framebuffer import SAMPLE_POSITIONS, Framebuffer, clear_framebuffer, create_framebuffer
-from .linalg import normal_matrix, normalize, perspective, transform_points
-from .scene import Camera, Scene
+from .linalg import normalize, perspective
+from .scene import Camera, Scene, check_invertible
 from .shading import ShadingSample, linear_to_srgb, reinhard_tonemap, shade_direct
 
 if TYPE_CHECKING:  # frameloop imports this module
@@ -49,61 +52,23 @@ class DrawCommand:
     node_name: str
     geometry_id: int
     material_id: int
-    segment_id: int
 
     @property
     def sort_key(self):
-        return (self.material_id, self.segment_id, self.node_name)
+        return (self.material_id, self.geometry_id, self.node_name)
 
 
 def build_draw_list(scene: Scene) -> list[DrawCommand]:
     """One command per mesh-bearing node, in submission order.
 
-    Arena segments are packed in geometry-id order, so the segment id
-    equals the geometry id and sorting groups draws that share both
-    material state and vertex range.
+    Sorting groups draws that share both material state and geometry.
     """
     commands = [
         DrawCommand(node_name=n.name, geometry_id=n.mesh_instance[0],
-                    material_id=n.mesh_instance[1], segment_id=n.mesh_instance[0])
+                    material_id=n.mesh_instance[1])
         for n in scene.mesh_nodes()
     ]
     return sorted(commands, key=lambda c: c.sort_key)
-
-
-@dataclass
-class VertexArena:
-    """All geometry vertex data concatenated into single arrays.
-
-    Segment g occupies rows [base[g], base[g] + counts[g]); triangle
-    indices stay geometry-local.
-    """
-
-    positions: np.ndarray  # (V, 3)
-    normals: np.ndarray    # (V, 3)
-    uvs: np.ndarray        # (V, 2)
-    base: np.ndarray       # (G,) int64
-    counts: np.ndarray     # (G,) int64
-
-    def segment(self, geometry_id: int):
-        s = int(self.base[geometry_id])
-        e = s + int(self.counts[geometry_id])
-        return self.positions[s:e], self.normals[s:e], self.uvs[s:e]
-
-
-def pack_vertex_arena(scene: Scene) -> VertexArena:
-    counts = np.array([g.vertex_count for g in scene.geometries], dtype=np.int64)
-    base = np.concatenate([[0], np.cumsum(counts)[:-1]]) if len(counts) else np.zeros(0, np.int64)
-    if scene.geometries:
-        positions = np.concatenate([g.positions for g in scene.geometries])
-        normals = np.concatenate([g.normals for g in scene.geometries])
-        uvs = np.concatenate([g.uvs for g in scene.geometries])
-    else:
-        positions = np.zeros((0, 3))
-        normals = np.zeros((0, 3))
-        uvs = np.zeros((0, 2))
-    return VertexArena(positions=positions, normals=normals, uvs=uvs,
-                       base=base.astype(np.int64), counts=counts)
 
 
 def select_camera(scene: Scene, name: str | None = None) -> Camera:
@@ -152,131 +117,123 @@ def _empty_batch() -> _TriangleBatch:
         material=np.zeros(0, dtype=np.int32), bbox=np.zeros((0, 4)))
 
 
-def _project_and_emit(clip, wpos, wnrm, material_id, width, height, cull_backfaces, sink):
-    """clip (K, 3, 4) -> screen triangles appended to sink lists.
+def _clip_near(clip, wpos, wnrm):
+    """Sutherland-Hodgman against z_clip >= 0 for C triangles with 1 or 2 vertices inside.
 
-    Degenerate (zero-area) triangles drop; winding is normalized so edge
-    functions are positive inside, flipping vertex order when needed.
+    The polygon of each triangle is the in-order valid slots of
+    [v0, x01, v1, x12, v2, x20], where x_ij lies on edge i -> j at
+    t = z_i / (z_i - z_j), measured from the edge's start vertex.
+    Attributes interpolate linearly: clip coordinates are affine in world
+    position, so the edge parameter is shared exactly.  A polygon of 3
+    slots gives fan triangle (0, 1, 2), one of 4 also (0, 2, 3).  Returns
+    the fan triangles as (clip, wpos, wnrm) stacks, their source rows and
+    their fan index.
     """
-    if len(clip) == 0:
-        return
-    w = clip[..., 3]
-    iw = 1.0 / w
+    nxt = [1, 2, 0]
+    inside = clip[..., 2] >= 0.0
+    crosses = inside != inside[:, nxt]
+    row, edge = np.nonzero(crosses)
+    end = np.take(nxt, edge)
+    zc = clip[row, edge, 2]
+    t = (zc / (zc - clip[row, end, 2]))[:, None]
+    valid = np.zeros((len(clip), 6), dtype=bool)
+    valid[:, 0::2] = inside
+    valid[:, 1::2] = crosses
+    slot = np.argsort(~valid, axis=1, kind="stable")[:, :4]  # valid slots first, in order
+    fan = valid.sum(axis=1) == 4
+    rows = np.concatenate([np.arange(len(clip)), np.flatnonzero(fan)])
+    corners = np.concatenate([slot[:, [0, 1, 2]], slot[fan][:, [0, 2, 3]]])
+    out = []
+    for attr in (clip, wpos, wnrm):
+        poly = np.zeros((len(clip), 6, attr.shape[-1]))
+        poly[:, 0::2] = attr
+        start = attr[row, edge]
+        poly[row, 2 * edge + 1] = start + t * (attr[row, end] - start)
+        out.append(poly[rows[:, None], corners])
+    return (*out, rows, np.repeat([0, 1], [len(clip), int(fan.sum())]))
+
+
+def _geometry_stage(scene: Scene, draws, view, proj, width, height,
+                    frustum_culling: bool, backface_culling: bool) -> _TriangleBatch:
+    """Transform, cull, near-clip and project every draw, in submission order.
+
+    One pass per geometry over the stacked world matrices of its draws.
+    Within a draw, fully inside triangles keep their order and come
+    first, then the fan triangles of the near-clipped ones; depth ties
+    depend on this order.  Degenerate (zero-area) triangles drop;
+    winding is normalized so edge functions are positive inside,
+    flipping vertex order when needed.
+    """
+    if not draws:
+        return _empty_batch()
+    vp = proj @ view
+    geometry = np.array([cmd.geometry_id for cmd in draws])
+    material = np.array([cmd.material_id for cmd in draws], dtype=np.int32)
+    world = np.stack([scene.world[cmd.node_name] for cmd in draws])
+    parts = []  # (clip, wpos, wnrm, draw rank, clipped, triangle, fan)
+    for gid in np.unique(geometry):
+        geo = scene.geometries[gid]
+        if geo.triangle_count == 0:
+            continue
+        rank = np.flatnonzero(geometry == gid)
+        m = world[rank]
+        hom = np.concatenate([geo.positions, np.ones((geo.vertex_count, 1))], axis=1)
+        clip = hom @ (vp @ m).transpose(0, 2, 1)  # (D, V, 4)
+
+        if frustum_culling:
+            x, y, z, w = np.moveaxis(clip, 2, 0)
+            outside = ((x < -w).all(axis=1) | (x > w).all(axis=1) | (y < -w).all(axis=1)
+                       | (y > w).all(axis=1) | (z < 0).all(axis=1) | (z > w).all(axis=1))
+            rank, m, clip = rank[~outside], m[~outside], clip[~outside]
+            if len(rank) == 0:
+                continue
+
+        wpos = geo.positions @ m[:, :3, :3].transpose(0, 2, 1) + m[:, None, :3, 3]
+        try:
+            inv = np.linalg.inv(m[:, :3, :3])
+        except np.linalg.LinAlgError:
+            check_invertible([draws[r].node_name for r in rank], m[:, :3, :3], "node")
+            raise
+        wnrm = geo.normals @ inv  # row n becomes inv(M3).T @ n, the normal matrix
+
+        tri = geo.triangles.astype(np.int64)
+        n_in = (clip[..., 2] >= 0.0)[:, tri].sum(axis=2)  # (D, T) vertices inside
+        d, k = np.nonzero(n_in == 3)
+        v = d[:, None], tri[k]
+        parts.append((clip[v], wpos[v], wnrm[v], rank[d], np.zeros_like(d), k, np.zeros_like(d)))
+        d, k = np.nonzero((n_in == 1) | (n_in == 2))
+        if len(d):  # rare: skips the clip's fixed cost
+            v = d[:, None], tri[k]
+            cclip, cwpos, cwnrm, src, fan = _clip_near(clip[v], wpos[v], wnrm[v])
+            parts.append((cclip, cwpos, cwnrm, rank[d][src], np.ones_like(src), k[src], fan))
+
+    if not parts:
+        return _empty_batch()
+    clip, wpos, wnrm, rank, clipped, tri, fan = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((fan, tri, clipped, rank))
+    clip, wpos, wnrm, rank = clip[order], wpos[order], wnrm[order], rank[order]
+
+    iw = 1.0 / clip[..., 3]
     ndc = clip[..., :3] * iw[..., None]
     x = (ndc[..., 0] * 0.5 + 0.5) * width
     y = (0.5 - ndc[..., 1] * 0.5) * height
     z = ndc[..., 2]
     area2 = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
              - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
-    if cull_backfaces:
+    if backface_culling:
         keep = area2 < 0.0  # front faces wind counter-clockwise before the y flip
     else:
         keep = area2 != 0.0
-    if not np.any(keep):
-        return
     xy = np.stack([x, y], axis=-1)[keep]
-    z = z[keep]
-    iw = iw[keep]
-    wpos = wpos[keep]
-    wnrm = wnrm[keep]
+    z, iw, wpos, wnrm = z[keep], iw[keep], wpos[keep], wnrm[keep]
     flip = area2[keep] < 0.0
     for arr in (xy, z, iw, wpos, wnrm):
         arr[flip] = arr[flip][:, [0, 2, 1]]
-    sink["xy"].append(xy)
-    sink["z"].append(z)
-    sink["iw"].append(iw)
-    sink["wpos_iw"].append(wpos * iw[..., None])
-    sink["wnrm_iw"].append(wnrm * iw[..., None])
-    sink["material"].append(np.full(len(xy), material_id, dtype=np.int32))
-
-
-def _clip_triangle_near(clip_v, wpos_v, wnrm_v):
-    """Sutherland-Hodgman against z_clip >= 0 for one triangle.
-
-    Attributes interpolate linearly: clip coordinates are affine in
-    world position, so the edge parameter is shared exactly.  Returns
-    0, 1 or 2 fan triangles as (clip, wpos, wnrm) stacks.
-    """
-    out = []
-    n = 3
-    for i in range(n):
-        cur, nxt = i, (i + 1) % n
-        zc, zn = clip_v[cur][2], clip_v[nxt][2]
-        cin, nin = zc >= 0.0, zn >= 0.0
-        if cin:
-            out.append((clip_v[cur], wpos_v[cur], wnrm_v[cur]))
-        if cin != nin:
-            t = zc / (zc - zn)
-            out.append((clip_v[cur] + t * (clip_v[nxt] - clip_v[cur]),
-                        wpos_v[cur] + t * (wpos_v[nxt] - wpos_v[cur]),
-                        wnrm_v[cur] + t * (wnrm_v[nxt] - wnrm_v[cur])))
-    if len(out) < 3:
-        return []
-    tris = []
-    for k in range(1, len(out) - 1):
-        tri = (out[0], out[k], out[k + 1])
-        tris.append(tuple(np.stack([v[j] for v in tri]) for j in range(3)))
-    return tris
-
-
-def _geometry_stage(scene: Scene, draws, arena, view, proj, width, height,
-                    frustum_culling: bool, backface_culling: bool) -> _TriangleBatch:
-    vp = proj @ view
-    sink = {k: [] for k in ("xy", "z", "iw", "wpos_iw", "wnrm_iw", "material")}
-    for cmd in draws:
-        geo = scene.geometries[cmd.geometry_id]
-        if geo.triangle_count == 0:
-            continue
-        if arena is not None:
-            pos, nrm, _uv = arena.segment(cmd.geometry_id)
-        else:
-            pos, nrm, _uv = geo.positions, geo.normals, geo.uvs
-        m = scene.world[cmd.node_name]
-        mvp = vp @ m
-        clip = np.concatenate([pos, np.ones((len(pos), 1))], axis=1) @ mvp.T
-
-        if frustum_culling:
-            w = clip[:, 3]
-            outside = (
-                np.all(clip[:, 0] < -w) or np.all(clip[:, 0] > w)
-                or np.all(clip[:, 1] < -w) or np.all(clip[:, 1] > w)
-                or np.all(clip[:, 2] < 0) or np.all(clip[:, 2] > w)
-            )
-            if outside:
-                continue
-
-        wpos = transform_points(m, pos)
-        try:
-            nmat = normal_matrix(m)
-        except np.linalg.LinAlgError:
-            raise ValidationError(f"node '{cmd.node_name}' has a singular transform") from None
-        wnrm = nrm @ nmat.T
-
-        tri = geo.triangles.astype(np.int64)
-        tclip = clip[tri]          # (T, 3, 4)
-        twpos = wpos[tri]
-        twnrm = wnrm[tri]
-        inside = tclip[..., 2] >= 0.0
-        n_in = inside.sum(axis=1)
-
-        full = n_in == 3
-        _project_and_emit(tclip[full], twpos[full], twnrm[full], cmd.material_id,
-                          width, height, backface_culling, sink)
-
-        for k in np.nonzero((n_in == 1) | (n_in == 2))[0]:
-            for cv, pv, nv in _clip_triangle_near(tclip[k], twpos[k], twnrm[k]):
-                _project_and_emit(cv[None], pv[None], nv[None], cmd.material_id,
-                                  width, height, backface_culling, sink)
-
-    if not sink["xy"]:
-        return _empty_batch()
-    xy = np.concatenate(sink["xy"])
     bbox = np.stack([xy[..., 0].min(axis=1), xy[..., 0].max(axis=1),
                      xy[..., 1].min(axis=1), xy[..., 1].max(axis=1)], axis=1)
-    return _TriangleBatch(
-        xy=xy, z=np.concatenate(sink["z"]), iw=np.concatenate(sink["iw"]),
-        wpos_iw=np.concatenate(sink["wpos_iw"]), wnrm_iw=np.concatenate(sink["wnrm_iw"]),
-        material=np.concatenate(sink["material"]), bbox=bbox)
+    return _TriangleBatch(xy=xy, z=z, iw=iw, wpos_iw=wpos * iw[..., None],
+                          wnrm_iw=wnrm * iw[..., None], material=material[rank[keep]],
+                          bbox=bbox)
 
 
 # (triangle, pixel) pairs whose coverage is evaluated at once: bounds the
@@ -404,13 +361,13 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
     color[covered] = display[source]
 
 
-def main_pass(scene: Scene, tlas, config: RenderConfig, arena: VertexArena | None = None,
+def main_pass(scene: Scene, tlas, config: RenderConfig,
               draws: list[DrawCommand] | None = None,
               fb: Framebuffer | None = None) -> Framebuffer:
     """Render the scene into a (possibly recycled) multisampled target.
 
-    Passing an arena or a prebuilt draw list is optional; outputs are
-    identical either way.
+    Passing a prebuilt draw list is optional; outputs are identical
+    either way.
     """
     if fb is None:
         fb = create_framebuffer(config.width, config.height, config.msaa)
@@ -422,7 +379,7 @@ def main_pass(scene: Scene, tlas, config: RenderConfig, arena: VertexArena | Non
 
     if draws is None:
         draws = build_draw_list(scene)
-    batch = _geometry_stage(scene, draws, arena, view, proj, fb.width, fb.height,
+    batch = _geometry_stage(scene, draws, view, proj, fb.width, fb.height,
                             config.frustum_culling, config.backface_culling)
     if batch.count == 0:
         return fb

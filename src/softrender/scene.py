@@ -178,11 +178,12 @@ def refresh_world_transforms(scene: Scene) -> None:
 
 
 def check_invertible(names, mats: np.ndarray, what: str) -> None:
-    """Raise ValidationError unless every one of the (N, 4, 4) mats is finite and invertible.
+    """Raise ValidationError unless every one of the (N, n, n) mats is finite and invertible.
 
     The message names the first bad matrix as "{what} '{name}'".  The TLAS
     build and the renderer invert every node transform, so a matrix that
-    fails here would otherwise surface as a LinAlgError mid-frame.
+    fails here would otherwise surface as a LinAlgError mid-frame; the
+    renderer passes the 3x3 blocks it inverts for normals.
     """
     finite = np.isfinite(mats).all(axis=(1, 2))
     if not finite.all():

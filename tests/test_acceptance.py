@@ -481,7 +481,7 @@ def test_acceptance_7_bench_scaling():
     def body():
         start = time.perf_counter()
         scene = load_gltf(Path(__file__).parent.parent / "scenes" / "bench.gltf")
-        records = run_bench(scene, max_doublings=5, frames=5, warmup=3,
+        records = run_bench(scene, max_doublings=5, frames=15, warmup=3,
                             config=default_bench_config(width=256, height=256))
         assert len(records) == 6
 

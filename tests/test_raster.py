@@ -12,21 +12,21 @@ import math
 import numpy as np
 import pytest
 
-from softrender.errors import ConfigurationError
+from softrender.errors import ConfigurationError, ValidationError
 from softrender.framebuffer import SAMPLE_POSITIONS, create_framebuffer, ppm_bytes, resolve_msaa
 from softrender.frameloop import RenderConfig, build_scene_blases, make_tlas_instances
 from softrender.accel import build_tlas
 from softrender.gltf import load_gltf
-from softrender.linalg import translate
+from softrender.linalg import rotate_y, translate
 from softrender.procedural import make_shadow_scene
 from softrender.raster import (
+    _geometry_stage,
     _interpolate,
     _raster_band,
     _TriangleBatch,
     build_draw_list,
     camera_matrices,
     main_pass,
-    pack_vertex_arena,
     select_camera,
 )
 from softrender.scene import (
@@ -191,49 +191,11 @@ def test_draw_order_between_equal_keys_is_name_stable():
     mats = [gray_material(0)]
     verts = [[-1, -1, -3], [1, -1, -3], [0, 1, -3]]
     scene = build_scene([(verts, [0, 0, 1], 0), (verts, [0, 0, 1], 0)], mats)
-    # same geometry twice would give distinct segments; force shared segment
+    # two nodes sharing one geometry and material: equal keys up to the name
     scene.nodes[1].mesh_instance = (0, 0)
     draws = build_draw_list(scene)
     same_key = [d.node_name for d in draws if d.geometry_id == 0]
     assert same_key == sorted(same_key)
-
-
-# ---------------------------------------------------------------- arena
-
-def test_vertex_arena_bases_and_total():
-    g1 = tri_geometry([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [0, 0, 1])
-    g2 = MeshGeometry(
-        positions=np.zeros((6, 3)), normals=np.tile([0.0, 0, 1], (6, 1)),
-        uvs=np.zeros((6, 2)), triangles=np.array([[0, 1, 2], [3, 4, 5]]))
-    scene = Scene(geometries=[g1, g2], materials=[gray_material()])
-    arena = pack_vertex_arena(scene)
-    np.testing.assert_array_equal(arena.base, [0, 3])
-    assert len(arena.positions) == 9
-    pos0, _, _ = arena.segment(0)
-    pos1, _, _ = arena.segment(1)
-    np.testing.assert_array_equal(pos0, g1.positions)
-    np.testing.assert_array_equal(pos1, g2.positions)
-
-
-def test_vertex_arena_empty_scene():
-    arena = pack_vertex_arena(Scene())
-    assert len(arena.positions) == 0
-    assert len(arena.base) == 0
-
-
-def test_arena_and_direct_paths_render_bit_identical():
-    light = PointLight(position=[2, 3, 1], intensity=[15, 15, 15])
-    tris = [
-        ([[-2, -1, -4], [0, -1, -4], [-1, 1, -4]], [0, 0, 1], 0),
-        ([[0.5, -1, -3], [2, -1, -3], [1.2, 1.5, -3]], [0, 0, 1], 1),
-    ]
-    mats = [gray_material(0, base=0.8), gray_material(1, base=0.3, roughness=0.4)]
-    scene = build_scene(tris, mats, lights=[light])
-    cfg = config(msaa=4)
-    fb_direct = main_pass(scene, None, cfg, arena=None)
-    fb_arena = main_pass(scene, None, cfg, arena=pack_vertex_arena(scene))
-    assert np.array_equal(fb_direct.color, fb_arena.color)
-    assert np.array_equal(fb_direct.depth, fb_arena.depth)
 
 
 # ---------------------------------------------------------------- depth
@@ -442,6 +404,72 @@ def test_triangle_fully_behind_camera_is_dropped():
     assert np.all(np.isinf(fb.depth))
 
 
+# recorded from the scalar per-triangle Sutherland-Hodgman clip: the
+# geometry stage must give every colour and depth sample the same bits,
+# and its screen triangles the same bits in the same order
+PINNED_NEAR_CLIP_SHA256 = "e32359663bf0a669bae97899689e45c1f01a98cf90b50125e1e9e15708774969"
+PINNED_NEAR_CLIP_BATCH_SHA256 = "d3fca396d562208b85740bc347955a82b4cb0892f92f27234e4a430eead37376"
+
+
+def near_soup(seed):
+    """Two shared triangle soups straddling the near plane, drawn by five
+    nodes with three materials; both one and two vertices inside occur."""
+    rng = np.random.default_rng(seed)
+    scene = Scene(materials=[gray_material(m, base=0.2 + 0.3 * m, roughness=0.3 + 0.3 * m)
+                             for m in range(3)],
+                  lights=[PointLight(position=[0.5, 1.0, 0.5], intensity=[6.0] * 3)])
+    for _ in range(2):
+        count = 12
+        normals = rng.normal(size=(3 * count, 3))
+        scene.geometries.append(MeshGeometry(
+            positions=rng.uniform([-1.5, -1.2, -3.0], [1.5, 1.2, 0.8], (3 * count, 3)),
+            normals=normals / np.linalg.norm(normals, axis=1, keepdims=True),
+            uvs=np.zeros((3 * count, 2)), triangles=np.arange(3 * count).reshape(count, 3)))
+    for i in range(5):
+        local = translate(*rng.uniform(-0.3, 0.3, 3)) @ rotate_y(rng.uniform(-0.4, 0.4))
+        scene.nodes.append(SceneNode(name=f"n{i}", parent=None, local=local,
+                                     mesh_instance=(i % 2, i % 3)))
+    scene.nodes.append(SceneNode(name="cam", parent=None, local=np.eye(4)))
+    scene.cameras.append(Camera(node="cam", vertical_fov=FOV, near=0.1, far=20.0))
+    refresh_world_transforms(scene)
+    return scene
+
+
+def test_near_clip_corpus_matches_pinned_sha256(bench_gltf):
+    """bench.gltf at d=0..2 seen from inside the lattice, and seeded near-plane
+    soups, each with back-face and frustum culling on and off."""
+    base = load_gltf(bench_gltf)
+    refresh_world_transforms(base)
+    scenes = []
+    for d in range(3):
+        scene = duplicate_scene_geometry(base, d)
+        refresh_world_transforms(scene)
+        cam = select_camera(scene).node
+        for pose in (translate(-1.6, -0.7, -0.2), translate(0.3, -0.3, 0.1) @ rotate_y(2.2),
+                     translate(5.5, -0.4, 1.0) @ rotate_y(-0.6)):
+            posed = duplicate_scene_geometry(scene, 0)
+            posed.world[cam] = pose
+            scenes.append(posed)
+    scenes += [near_soup(seed) for seed in range(8)]
+    digest, batches = hashlib.sha256(), hashlib.sha256()
+    for scene in scenes:
+        view, proj, _ = camera_matrices(scene, select_camera(scene), 64, 48)
+        for backface in (False, True):
+            for frustum in (False, True):
+                fb = main_pass(scene, None, config(width=64, height=48, msaa=4,
+                                                   backface_culling=backface,
+                                                   frustum_culling=frustum))
+                digest.update(fb.color.tobytes())
+                digest.update(fb.depth.tobytes())
+                batch = _geometry_stage(scene, build_draw_list(scene), view, proj, 64, 48,
+                                        frustum, backface)
+                for arr in (batch.xy, batch.z, batch.iw, batch.wpos_iw, batch.wnrm_iw,
+                            batch.material):
+                    batches.update(arr.tobytes())
+    assert digest.hexdigest() == PINNED_NEAR_CLIP_SHA256
+    assert batches.hexdigest() == PINNED_NEAR_CLIP_BATCH_SHA256
+
+
 # ------------------------------------------------------- configuration
 
 def test_select_camera_errors():
@@ -488,6 +516,20 @@ def test_frustum_culling_does_not_change_output():
     img_off = resolve_msaa(main_pass(scene, None, config(msaa=2)))
     img_on = resolve_msaa(main_pass(scene, None, config(msaa=2, frustum_culling=True)))
     assert np.array_equal(img_off.pixels, img_on.pixels)
+
+
+def test_singular_draw_transform_raises_naming_the_node():
+    tris = [([[-1, -1, -4], [1, -1, -4], [0, 1, -4]], [0, 0, 1], 0)] * 3
+    scene = build_scene(tris, [gray_material()])
+    for i in range(3):  # one geometry drawn by three nodes
+        scene.nodes[i].mesh_instance = (0, 0)
+    zero_scale = np.diag([0.0, 0.0, 0.0, 1.0])
+    scene.world["t1"] = translate(0.0, 0.0, -4.0) @ zero_scale
+    with pytest.raises(ValidationError, match="node 't1'"):
+        main_pass(scene, None, config(frustum_culling=True))
+    scene.world["t1"] = translate(50.0, 0.0, -4.0) @ zero_scale  # off screen: culled first
+    fb = main_pass(scene, None, config(frustum_culling=True))
+    assert np.isfinite(fb.depth).any()
 
 
 def test_worker_count_does_not_change_output():
