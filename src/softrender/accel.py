@@ -35,6 +35,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .linalg import dot_rows
+
 EPSILON_INTERSECT = 1e-9
 SHADOW_OFFSET = 1e-4
 SAH_BINS = 16
@@ -540,15 +542,6 @@ def _reach(nodes: _Nodes, o, d, t_lo, t_hi):
     return np.repeat(np.concatenate(seen_ray), size), slot, np.repeat(size, size)
 
 
-def _dot_rows(q, d, size):
-    """Row-wise q . d, rounded as the product over one leaf's rows rounds:
-    a one-row product for a one-triangle leaf, else a matrix-vector one."""
-    out = (np.stack([q, q], axis=1) @ d[:, :, None])[:, 0, 0]
-    one = size == 1
-    out[one] = (q[one, None, :] @ d[one, :, None])[:, 0, 0]
-    return out
-
-
 def _hits(tlas: Tlas, o, d, t_min, t_max, closed: bool):
     """Every accepted (ray, t, instance_id, triangle_index, u, v) of a batch, as arrays."""
     t_min, t_max = np.broadcast_to(t_min, len(o)), np.broadcast_to(t_max, len(o))
@@ -574,7 +567,7 @@ def _hits(tlas: Tlas, o, d, t_min, t_max, closed: bool):
     u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
     ok &= (u >= 0.0) & (u <= 1.0)
     qvec = np.cross(tvec, e1)
-    v = _dot_rows(qvec, kd, size) * inv_det
+    v = dot_rows(qvec, kd, size == 1) * inv_det  # rounded as one product per leaf
     ok &= (v >= 0.0) & (u + v <= 1.0)
     t = np.einsum("ij,ij->i", e2, qvec) * inv_det
     lo, hi = t_min[ray], t_max[ray]

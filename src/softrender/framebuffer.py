@@ -76,13 +76,22 @@ class LdrImage:
 def quantize_unit(values: np.ndarray) -> np.ndarray:
     """[0, 1] floats to uint8 by round-half-up: floor(v * 255 + 0.5)."""
     v = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
-    return np.floor(v * 255.0 + 0.5).astype(np.uint8)
+    v *= 255.0
+    v += 0.5
+    return np.floor(v, out=v).astype(np.uint8)
 
 
 def resolve_msaa(fb: Framebuffer) -> LdrImage:
-    """Arithmetic mean over samples, then quantize."""
-    mean = fb.color.astype(np.float64).mean(axis=2)
-    return LdrImage(pixels=quantize_unit(mean))
+    """Arithmetic mean over samples, then quantize.
+
+    The sample planes add in float64 in sample order, as a float64 mean
+    over the sample axis adds them, without a float64 copy of the target.
+    """
+    total = fb.color[:, :, 0].astype(np.float64)
+    for s in range(1, fb.samples):
+        total += fb.color[:, :, s]
+    total /= fb.samples
+    return LdrImage(pixels=quantize_unit(total))
 
 
 def ppm_bytes(image: LdrImage) -> bytes:

@@ -38,7 +38,6 @@ class RenderConfig:
     fxaa: bool = True
     shadows: bool = True
     overlay: bool = True
-    clear_color: object = None  # (3,) linear RGB; None takes the scene's
     camera: str | None = None
     workers: int = 1
     frustum_culling: bool = False

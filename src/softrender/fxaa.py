@@ -5,15 +5,20 @@ space.  Per pixel: compute Rec.601 luma, skip low-contrast neighborhoods
 (threshold max(EDGE_MIN_CONTRAST, EDGE_RELATIVE * local max luma)),
 classify the edge as horizontal or vertical from 3x3 gradients, then
 blend toward the neighbor across the edge by
-clamp(|avg4 - L_center| / contrast, 0, BLEND_CAP).  Border pixels pass
-through untouched.  The filter is a pure function of the input image.
+clamp(|avg4 - L_center| / contrast, 0, BLEND_CAP) and quantize with
+``framebuffer.quantize_unit``, the resolve's round-half-up rule.  Each
+step is one array operation over the whole frame; the blend partners of
+all pixels are one index gather.  Border pixels pass through untouched.
+The filter is a pure function of the input image.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
-from .framebuffer import LdrImage
+from .framebuffer import LdrImage, quantize_unit
 
 EDGE_MIN_CONTRAST = 0.0312
 EDGE_RELATIVE = 0.125
@@ -35,8 +40,8 @@ def fxaa_pass(image: LdrImage) -> LdrImage:
     if h < 3 or w < 3:
         return LdrImage(pixels=image.pixels.copy())
 
-    rgb = image.pixels.astype(np.float64) / 255.0
-    lum = luma(image.pixels)
+    rgb = image.pixels / 255.0
+    lum = luma(rgb)
 
     # 3x3 neighborhood views around interior pixels
     c = lum[1:-1, 1:-1]
@@ -49,36 +54,27 @@ def fxaa_pass(image: LdrImage) -> LdrImage:
     sw = lum[2:, :-2]
     se = lum[2:, 2:]
 
-    cross_max = np.maximum.reduce([c, n, s, west, e])
-    cross_min = np.minimum.reduce([c, n, s, west, e])
-    contrast = cross_max - cross_min
+    cross_max = reduce(np.maximum, (n, s, west, e), c)
+    contrast = cross_max - reduce(np.minimum, (n, s, west, e), c)
     active = contrast >= np.maximum(EDGE_MIN_CONTRAST, EDGE_RELATIVE * cross_max)
 
     # Sobel-style gradients: a strong vertical luma gradient means a
-    # horizontal edge, so the blend partner is north or south.
-    grad_v = np.abs(nw + 2.0 * n + ne - sw - 2.0 * s - se)
-    grad_h = np.abs(nw + 2.0 * west + sw - ne - 2.0 * e - se)
-    horizontal_edge = grad_v >= grad_h
+    # horizontal edge, so the blend partner is north or south, else west
+    # or east; the side farther in luma wins, ties going north or west.
+    horizontal_edge = (np.abs(nw + 2.0 * n + ne - sw - 2.0 * s - se)
+                       >= np.abs(nw + 2.0 * west + sw - ne - 2.0 * e - se))
+    north_or_west = np.where(horizontal_edge, np.abs(n - c) >= np.abs(s - c),
+                             np.abs(west - c) >= np.abs(e - c))
+    step = np.where(horizontal_edge, w, 1)  # flat-index offset to south or east
+    center = np.arange(1, h - 1)[:, None] * w + np.arange(1, w - 1)
+    partner = np.take(rgb.reshape(-1, 3), center + np.where(north_or_west, -step, step), axis=0)
 
-    pick_ns = np.abs(n - c) >= np.abs(s - c)
-    pick_we = np.abs(west - c) >= np.abs(e - c)
+    factor = np.zeros_like(c)
+    np.divide(np.abs((n + s + west + e) * 0.25 - c), contrast, out=factor, where=active)
+    factor = np.minimum(factor, BLEND_CAP)[..., None]
+    partner *= factor
+    partner += rgb[1:-1, 1:-1] * (1.0 - factor)
 
-    neighbor = np.empty(rgb[1:-1, 1:-1].shape, dtype=np.float64)
-    n_rgb = rgb[:-2, 1:-1]
-    s_rgb = rgb[2:, 1:-1]
-    w_rgb = rgb[1:-1, :-2]
-    e_rgb = rgb[1:-1, 2:]
-    ns = np.where(pick_ns[..., None], n_rgb, s_rgb)
-    we = np.where(pick_we[..., None], w_rgb, e_rgb)
-    neighbor[:] = np.where(horizontal_edge[..., None], ns, we)
-
-    avg4 = (n + s + west + e) * 0.25
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.abs(avg4 - c) / contrast
-    factor = np.clip(np.where(contrast > 0.0, factor, 0.0), 0.0, BLEND_CAP)
-    factor = np.where(active, factor, 0.0)
-
-    blended = rgb[1:-1, 1:-1] * (1.0 - factor[..., None]) + neighbor * factor[..., None]
     out = image.pixels.copy()
-    out[1:-1, 1:-1] = np.floor(np.clip(blended, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    out[1:-1, 1:-1] = quantize_unit(partner)
     return LdrImage(pixels=out)

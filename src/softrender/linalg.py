@@ -92,19 +92,17 @@ def compose_trs(translation, rotation_quat, scale_xyz) -> np.ndarray:
     return t @ r @ s
 
 
-def transform_points(m: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Apply a homogeneous transform to (N, 3) points (w assumed 1)."""
-    return points @ m[:3, :3].T + m[:3, 3]
+def dot_rows(a: np.ndarray, b: np.ndarray, single: np.ndarray) -> np.ndarray:
+    """Row-wise a . b of (N, 3) rows, rounded as a matrix-vector product rounds.
 
-
-def transform_directions(m: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Apply the linear part only; no renormalization."""
-    return dirs @ m[:3, :3].T
-
-
-def normal_matrix(m: np.ndarray) -> np.ndarray:
-    """Inverse-transpose of the linear part, for transforming normals."""
-    return np.linalg.inv(m[:3, :3]).T
+    A product ``A @ v`` over a group of rows rounds one way for a group of
+    one row and another for two or more.  Row i takes the one-row product
+    where ``single[i]``, else a stacked two-row one, so it keeps the bits
+    of its group's product.
+    """
+    out = (np.stack([a, a], axis=1) @ b[:, :, None])[:, 0, 0]
+    out[single] = (a[single, None, :] @ b[single, :, None])[:, 0, 0]
+    return out
 
 
 def perspective(vertical_fov: float, aspect: float, near: float, far: float) -> np.ndarray:

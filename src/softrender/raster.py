@@ -39,7 +39,7 @@ import numpy as np
 from .accel import shadow_mask
 from .errors import ConfigurationError, ValidationError
 from .framebuffer import SAMPLE_POSITIONS, Framebuffer, clear_framebuffer, create_framebuffer
-from .linalg import normalize, perspective
+from .linalg import dot_rows, normalize, perspective
 from .scene import Camera, Scene, check_invertible
 from .shading import ShadingSample, linear_to_srgb, reinhard_tonemap, shade_direct
 
@@ -248,13 +248,11 @@ def _interpolate(batch: _TriangleBatch, k, lam, one_pixel):
     ``lam_k @ batch.iw[k]``, ``lam_k @ batch.wpos_iw[k]`` and
     ``lam_k @ batch.wnrm_iw[k]`` over triangle k's own rows.  The first
     is a matrix-vector product, which rounds one way for a single row
-    (one_pixel) and another for two or more; the other two round alike
-    for any row count.  Row sums and einsum round differently.
+    (one_pixel) and another for two or more (``dot_rows``); the other two
+    round alike for any row count.  Row sums and einsum round differently.
     """
-    iw = batch.iw[k][:, :, None]
-    iw_p = np.where(one_pixel, (lam[:, None, :] @ iw)[:, 0, 0],
-                    (np.stack([lam, lam], axis=1) @ iw)[:, 0, 0])
-    return (iw_p, (lam[:, None, :] @ batch.wpos_iw[k])[:, 0],
+    return (dot_rows(lam, batch.iw[k], one_pixel),
+            (lam[:, None, :] @ batch.wpos_iw[k])[:, 0],
             (lam[:, None, :] @ batch.wnrm_iw[k])[:, 0])
 
 
@@ -374,8 +372,7 @@ def main_pass(scene: Scene, tlas, config: RenderConfig,
     camera = select_camera(scene, config.camera)
     view, proj, eye = camera_matrices(scene, camera, fb.width, fb.height)
 
-    clear = scene.clear_color if config.clear_color is None else config.clear_color
-    clear_framebuffer(fb, linear_to_srgb(np.asarray(clear, dtype=np.float64)))
+    clear_framebuffer(fb, linear_to_srgb(scene.clear_color))
 
     if draws is None:
         draws = build_draw_list(scene)

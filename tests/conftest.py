@@ -33,3 +33,32 @@ def bench_gltf(scenes_dir: Path) -> Path:
 @pytest.fixture(scope="session")
 def demo_gltf(scenes_dir: Path) -> Path:
     return scenes_dir / "demo.gltf"
+
+
+@pytest.fixture(scope="session")
+def render_targets(bench_gltf, demo_gltf):
+    """Multisample targets of bench.gltf at d=0..2 and demo.gltf, MSAA 1, 4 and
+    8, shadows on, at 96x72, from the scene camera and from a close one: the
+    display stages' real inputs."""
+    from softrender.accel import build_tlas
+    from softrender.frameloop import RenderConfig, build_scene_blases, make_tlas_instances
+    from softrender.gltf import load_gltf
+    from softrender.linalg import translate
+    from softrender.raster import main_pass, select_camera
+    from softrender.scene import duplicate_scene_geometry, refresh_world_transforms
+
+    bench = load_gltf(bench_gltf)
+    refresh_world_transforms(bench)
+    scenes = [(duplicate_scene_geometry(bench, d), translate(0.5, 0.3, 6.5)) for d in range(3)]
+    scenes.append((load_gltf(demo_gltf), translate(1.0, 1.2, 2.6)))
+    targets = []
+    for scene, close in scenes:
+        refresh_world_transforms(scene)
+        tlas = build_tlas(make_tlas_instances(scene, build_scene_blases(scene)), frame_index=0)
+        for pose in (None, close):
+            if pose is not None:
+                scene.world[select_camera(scene).node] = pose
+            for msaa in (1, 4, 8):
+                config = RenderConfig(width=96, height=72, msaa=msaa, overlay=False)
+                targets.append(main_pass(scene, tlas, config))
+    return targets

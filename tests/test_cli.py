@@ -7,13 +7,16 @@ codes directly; one smoke test goes through a real subprocess via
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
 import uuid
+from pathlib import Path
 
 import pytest
 
+import softrender
 from softrender.cli import main
 from softrender.framebuffer import read_ppm
 
@@ -102,11 +105,14 @@ def test_render_invalid_gltf_is_runtime_error(tmp_path, capsys):
 
 def test_module_entry_point_subprocess(tmp_path, triangle_gltf):
     out = tmp_path / "sub"
+    # the child imports the package this process imported, installed or not
+    path = [str(Path(softrender.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "softrender", "render",
          "--scene", str(triangle_gltf), "--out", str(out),
          "--frames", "1", "--width", "32", "--height", "32"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sub-frame-0000.ppm").exists()
 

@@ -1,5 +1,7 @@
 """Framebuffer, resolve, quantization, and PPM byte-format tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,74 @@ def test_resolve_single_sample_is_quantization_only():
     img = resolve_msaa(fb)
     np.testing.assert_array_equal(img.pixels[0, 0], quantize_unit(np.array([0.2, 0.4, 0.6])))
     np.testing.assert_array_equal(img.pixels[0, 1], [255, 0, 128])
+
+
+def boundary_sums(rng, count, samples):
+    """(count, samples, 3) float32 samples, in random sample order, whose float64
+    sum lies within a few ulps of samples * (k + 0.5) / 255: x0 + x1 carry the
+    boundary to 48 bits and x2 and x3 tip the last bit, so the order of the
+    additions decides the quantized mean."""
+    target = samples * ((rng.integers(0, 255, (count, 3)) + 0.5) / 255.0)
+    x0 = target.astype(np.float32)
+    x1 = (target - x0).astype(np.float32)
+    rest = target - x0 - x1
+    x2 = (rest * rng.uniform(0.3, 0.7, rest.shape)).astype(np.float32)
+    x3 = (rest - x2 + rng.normal(0.0, 2.0 ** -55, rest.shape)).astype(np.float32)
+    out = np.zeros((count, 3, samples), dtype=np.float32)
+    out[..., :4] = np.stack([x0, x1, x2, x3], axis=-1)
+    return rng.permuted(out, axis=-1).transpose(0, 2, 1)
+
+
+def edge_targets(seed):
+    """Seeded float32 targets at S = 1, 2, 4 and 8 whose samples mix signed
+    zeros, 1.0, values above 1 and values within 3 ulps of every quantizer
+    boundary (k + 0.5) / 255.  A third of the pixels hold one value in every
+    sample, so the boundary values reach the quantizer unaveraged; at S >= 4
+    another third hold boundary sums."""
+    rng = np.random.default_rng(seed)
+    half = np.float32((np.arange(255) + 0.5) / 255.0)
+    near = [half]
+    for toward in (np.float32(2.0), np.float32(-1.0)):
+        v = half
+        for _ in range(3):
+            v = np.nextafter(v, toward)
+            near.append(v)
+    pool = np.concatenate(near + [np.float32([0.0, -0.0, 1.0, 1.0 + 2 ** -23, 1.5, 4.0, -0.25])])
+    for samples in (1, 2, 4, 8):
+        h, w = rng.integers(1, 81, 2)
+        fb = create_framebuffer(int(w), int(h), samples)
+        fb.color[:] = np.where(rng.random((h, w, samples, 3)) < 0.5,
+                               rng.choice(pool, (h, w, samples, 3)),
+                               rng.random((h, w, samples, 3), dtype=np.float32))
+        kind = rng.integers(0, 3, (h, w))
+        fb.color[kind == 1] = rng.choice(pool, (int((kind == 1).sum()), 1, 3))
+        if samples >= 4:
+            fb.color[kind == 2] = boundary_sums(rng, int((kind == 2).sum()), samples)
+        yield fb
+
+
+def test_resolve_equals_quantized_float64_mean():
+    """Byte for byte against the float64 mean over samples, quantized: the
+    samples add in sample order."""
+    for seed in range(6):
+        for fb in edge_targets(seed):
+            want = quantize_unit(fb.color.astype(np.float64).mean(axis=2))
+            assert resolve_msaa(fb).pixels.tobytes() == want.tobytes()
+
+
+# recorded from the resolve that averaged a float64 copy of the whole target
+PINNED_RESOLVE_SHA256 = "44c5dec40d377cf24a18118c5c5a6cbfef9742454a00dfa98b01e9c112c45709"
+
+
+def test_resolve_corpus_matches_pinned_sha256(render_targets):
+    """Resolved renders of bench.gltf d=0..2 and demo.gltf at MSAA 1, 4 and 8,
+    and the seeded edge-value targets."""
+    digest = hashlib.sha256()
+    for fb in render_targets + [fb for seed in range(6) for fb in edge_targets(seed)]:
+        pixels = resolve_msaa(fb).pixels
+        digest.update(np.array(pixels.shape).tobytes())
+        digest.update(pixels.tobytes())
+    assert digest.hexdigest() == PINNED_RESOLVE_SHA256
 
 
 def test_ppm_bytes_one_white_pixel():

@@ -5,10 +5,12 @@ step the edge-adjacent pixel sees contrast 1, avg4 luma 0.25 away from
 its own, so it blends 25% toward the opposite side (0 -> 64, 255 -> 191).
 """
 
+import hashlib
+
 import numpy as np
 
 from softrender.fxaa import EDGE_MIN_CONTRAST, fxaa_pass, luma
-from softrender.framebuffer import LdrImage
+from softrender.framebuffer import LdrImage, resolve_msaa
 
 LUMA_W = np.array([0.299, 0.587, 0.114])
 
@@ -105,3 +107,49 @@ def test_staircase_metric_strictly_decreases_on_slanted_edge():
     after = staircase_metric(fxaa_pass(img).pixels)
     assert before >= 5
     assert after < before
+
+
+def slanted_edge(h, w, rng):
+    """Two random colours split by a random line through the image."""
+    ys, xs = np.mgrid[0:h, 0:w] + 0.5
+    angle = rng.uniform(0.0, np.pi)
+    side = (xs - rng.uniform(0, w)) * np.cos(angle) + (ys - rng.uniform(0, h)) * np.sin(angle)
+    a, b = rng.integers(0, 256, (2, 3))
+    return np.where(side[..., None] < 0.0, a, b)
+
+
+def corpus_images(rng):
+    """Random sizes 1..40 with 3xN and Nx3 among them, each as noise, binary
+    noise, noise over 0, A and 2A (luma(2A) - luma(A) == luma(A) exactly, so
+    the side tests tie between different colours), grey 7g/8g noise (contrast
+    exactly at the relative activation floor), low-contrast noise near the
+    absolute floor, a flat colour and a two-tone slanted edge."""
+    sizes = [tuple(rng.integers(1, 41, 2)) for _ in range(30)]
+    sizes += [(3, n) for n in (1, 3, 4, 17, 40)] + [(n, 3) for n in (2, 3, 5, 29, 40)]
+    for h, w in sizes:
+        yield rng.integers(0, 256, (h, w, 3))
+        yield rng.integers(0, 2, (h, w, 1)) * rng.integers(0, 256, 3)
+        yield rng.integers(0, 3, (h, w, 1)) * rng.integers(0, 128, 3)
+        yield (7 + rng.integers(0, 2, (h, w, 1))) * rng.choice([8, 16]) * np.ones(3, int)
+        yield rng.integers(0, 256, 3) + rng.integers(-10, 11, (h, w, 3))
+        yield np.broadcast_to(rng.integers(0, 256, 3), (h, w, 3))
+        yield slanted_edge(h, w, rng)
+
+
+# recorded from the filter that picked each blend partner with three
+# full-frame selections and quantized inline
+PINNED_FXAA_SHA256 = "9f3116a3003bbb8b13bc107220428864abc865ab26172a621e095bf85a84f6e2"
+
+
+def test_fxaa_corpus_matches_pinned_sha256(render_targets):
+    """The seeded image corpus and resolved renders of bench.gltf d=0..2 and
+    demo.gltf at MSAA 1, 4 and 8."""
+    rng = np.random.default_rng(9)
+    images = [LdrImage(pixels=np.clip(p, 0, 255)) for p in corpus_images(rng)]
+    images += [resolve_msaa(fb) for fb in render_targets]
+    digest = hashlib.sha256()
+    for image in images:
+        pixels = fxaa_pass(image).pixels
+        digest.update(np.array(pixels.shape).tobytes())
+        digest.update(pixels.tobytes())
+    assert digest.hexdigest() == PINNED_FXAA_SHA256

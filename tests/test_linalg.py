@@ -10,7 +10,6 @@ from softrender.linalg import (
     compose_trs,
     mat_from_column_major,
     mat_to_column_major,
-    normal_matrix,
     normalize,
     perspective,
     quat_to_matrix,
@@ -18,28 +17,24 @@ from softrender.linalg import (
     rotate_y,
     rotate_z,
     scale,
-    transform_directions,
-    transform_points,
     translate,
     vec3,
 )
 
 
+def point(m, p):
+    """m applied to the point p (w = 1)."""
+    return (m @ np.append(np.asarray(p, dtype=np.float64), 1.0))[:3]
+
+
 def test_translate_moves_points():
-    p = np.array([[1.0, 2.0, 3.0]])
-    np.testing.assert_allclose(transform_points(translate(5, -1, 0.5), p),
-                               [[6.0, 1.0, 3.5]])
+    np.testing.assert_allclose(point(translate(5, -1, 0.5), [1.0, 2.0, 3.0]), [6.0, 1.0, 3.5])
 
 
 def test_rotations_quarter_turn():
-    p = np.array([[1.0, 0.0, 0.0]])
-    np.testing.assert_allclose(transform_points(rotate_z(math.pi / 2), p),
-                               [[0.0, 1.0, 0.0]], atol=1e-15)
-    np.testing.assert_allclose(transform_points(rotate_y(math.pi / 2), p),
-                               [[0.0, 0.0, -1.0]], atol=1e-15)
-    q = np.array([[0.0, 1.0, 0.0]])
-    np.testing.assert_allclose(transform_points(rotate_x(math.pi / 2), q),
-                               [[0.0, 0.0, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(point(rotate_z(math.pi / 2), [1, 0, 0]), [0, 1, 0], atol=1e-15)
+    np.testing.assert_allclose(point(rotate_y(math.pi / 2), [1, 0, 0]), [0, 0, -1], atol=1e-15)
+    np.testing.assert_allclose(point(rotate_x(math.pi / 2), [0, 1, 0]), [0, 0, 1], atol=1e-15)
 
 
 def test_rotation_matrices_are_orthonormal():
@@ -76,24 +71,6 @@ def test_compose_trs_order_t_r_s():
     q = [0, 0, math.sin(angle / 2), math.cos(angle / 2)]
     expected = translate(*t) @ rotate_z(angle) @ scale(*s)
     np.testing.assert_allclose(compose_trs(t, q, s), expected, atol=1e-13)
-
-
-def test_transform_directions_ignores_translation():
-    m = translate(9, 9, 9) @ rotate_z(math.pi / 2)
-    d = np.array([[1.0, 0.0, 0.0]])
-    np.testing.assert_allclose(transform_directions(m, d), [[0.0, 1.0, 0.0]],
-                               atol=1e-15)
-
-
-def test_normal_matrix_preserves_perpendicularity_under_nonuniform_scale():
-    m = scale(2.0, 1.0, 0.5) @ rotate_y(0.4)
-    # tangent on the surface, normal perpendicular to it
-    tangent = normalize(np.array([1.0, 0.0, 1.0]))
-    normal = normalize(np.array([1.0, 0.0, -1.0]))
-    assert abs(tangent @ normal) < 1e-14
-    t_world = transform_directions(m, tangent[None, :])[0]
-    n_world = (normal_matrix(m) @ normal)
-    assert abs(t_world @ n_world) < 1e-12
 
 
 def test_perspective_depth_endpoints_and_w():

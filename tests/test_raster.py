@@ -17,7 +17,7 @@ from softrender.framebuffer import SAMPLE_POSITIONS, create_framebuffer, ppm_byt
 from softrender.frameloop import RenderConfig, build_scene_blases, make_tlas_instances
 from softrender.accel import build_tlas
 from softrender.gltf import load_gltf
-from softrender.linalg import rotate_y, translate
+from softrender.linalg import rotate_y, scale, translate
 from softrender.procedural import make_shadow_scene
 from softrender.raster import (
     _geometry_stage,
@@ -516,6 +516,28 @@ def test_frustum_culling_does_not_change_output():
     img_off = resolve_msaa(main_pass(scene, None, config(msaa=2)))
     img_on = resolve_msaa(main_pass(scene, None, config(msaa=2, frustum_culling=True)))
     assert np.array_equal(img_off.pixels, img_on.pixels)
+
+
+def test_world_normals_stay_perpendicular_under_nonuniform_scale():
+    """The geometry stage moves normals by the inverse-transpose of the draw's
+    linear part: they stay perpendicular to the transformed surface, where
+    the linear part itself would tilt them."""
+    verts = np.array([[-1.0, -1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, 0.5]])
+    normal = np.cross(verts[1] - verts[0], verts[2] - verts[0])
+    scene = build_scene([(verts, normal / np.linalg.norm(normal), 0)], [gray_material()])
+    m = translate(0.2, -0.1, -5.0) @ scale(2.0, 1.0, 0.5) @ rotate_y(0.4)
+    scene.world["t0"] = m
+    view, proj, _ = camera_matrices(scene, select_camera(scene), 64, 64)
+    batch = _geometry_stage(scene, build_draw_list(scene), view, proj, 64, 64, False, False)
+    assert batch.count == 1
+    iw = batch.iw[0][:, None]
+    wpos, wnrm = batch.wpos_iw[0] / iw, batch.wnrm_iw[0] / iw
+    edges = wpos[[1, 2, 0]] - wpos
+    for n in wnrm:
+        unit = n / np.linalg.norm(n)
+        assert np.all(np.abs(edges @ unit) < 1e-12)
+    tilted = m[:3, :3] @ normal
+    assert np.max(np.abs(edges @ tilted)) / np.linalg.norm(tilted) > 0.1
 
 
 def test_singular_draw_transform_raises_naming_the_node():
