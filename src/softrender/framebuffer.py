@@ -51,8 +51,16 @@ def create_framebuffer(width: int, height: int, samples: int) -> Framebuffer:
 
 
 def clear_framebuffer(fb: Framebuffer, color) -> None:
-    fb.color[:] = np.asarray(color, dtype=np.float32)
-    fb.depth[:] = np.inf
+    """Every sample to `color` and depth +inf.
+
+    One pixel is written, copied along the first row, and that row down
+    the image: contiguous copies, where a 3-float broadcast over the whole
+    target is an order of magnitude slower.
+    """
+    fb.color[0, 0] = np.asarray(color, dtype=np.float32)
+    fb.color[0, 1:] = fb.color[0, 0]
+    fb.color[1:] = fb.color[0]
+    fb.depth.fill(np.inf)
 
 
 @dataclass

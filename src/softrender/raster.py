@@ -14,8 +14,9 @@ per-sample coverage and depth:
     polygon clip with linear attribute interpolation), far overflow is
     left to the depth range;
   - fill follows a top-left rule on exact edge-function zeros;
-  - coverage and depth of all (triangle, pixel) pairs are computed as
-    arrays, and the depth rule is sequential: in submission order a
+  - coverage and depth are computed as arrays over each triangle's
+    coverage window, the pixels where a sample can land in its screen
+    box, and the depth rule is sequential: in submission order a
     sample passes on ``z < float32 stored depth`` and stores its
     float32 depth, so the last passing triangle wins the sample;
   - shading then runs once per (pixel, winning triangle) at the pixel
@@ -240,6 +241,50 @@ def _geometry_stage(scene: Scene, draws, view, proj, width, height,
 # per-sample temporaries whatever the scene or triangle size
 _PAIR_CHUNK = 1 << 12
 
+# A triangle's coverage window holds only the pixels where some sample
+# lies within _WINDOW_SLACK = s px of its closed screen box.  The rest of
+# the rectangle one pixel around the box holds no sample the edge test
+# covers, unless the triangle is thin.  A sample p dropped from the window
+# is more than s outside the box, so more than s * sin(a / 2) >=
+# s * area2 / (2 L^2) outside one edge line, where a is the smallest angle
+# and L the longest edge.  That edge's value dx * (py - vy) - dy * (px - vx)
+# is |d| times p's signed distance; rounding the edge vector, the two
+# differences and the two products moves it by at most 1.5 eps |d| |p - v|
+# (the last difference keeps its sign), and |p - v| < sqrt(2) (L + 2) in
+# the rectangle.  So the test rejects p once area2 > 136 eps L^2 (L + 2);
+# _THIN doubles that bound.  Thin triangles keep the whole rectangle:
+# rounding does cover samples beyond their box, 0.69 px on a 70 px sliver
+# with area2 = 1.1e-12, 1/16 px on a 38 px one with area2 = 100 eps L^2.
+# s must be positive: a triangle that is not thin covered a sample 1 ulp
+# outside its box.
+_WINDOW_SLACK = 1.0 / 32.0
+_THIN = 256.0 * np.finfo(np.float64).eps
+
+
+def _thin(dx, dy, area2):
+    """Triangles whose edge test may cover samples farther than the slack from their box."""
+    longest2 = (dx * dx + dy * dy).max(axis=1)
+    return area2 <= _THIN * longest2 * (np.sqrt(longest2) + 2.0)
+
+
+def _coverage_window(bbox, thin, samples):
+    """(K, 2) first and (K, 2) past-the-end pixel (x, y) of each triangle's window.
+
+    Unclipped.  Never larger than the one-pixel-margin rectangle
+    ``floor(min) - 1 .. ceil(max) + 1`` that thin triangles keep, because
+    ``below`` and ``above`` are exact and under one pixel.
+    """
+    below = samples.max(axis=0) + _WINDOW_SLACK   # sample offsets sit on the 1/16 lattice
+    above = _WINDOW_SLACK - samples.min(axis=0)
+    lo = np.where(thin[:, None], np.floor(bbox[:, 0::2]) - 1, np.ceil(bbox[:, 0::2] - below))
+    hi = np.where(thin[:, None], np.ceil(bbox[:, 1::2]) + 1, np.floor(bbox[:, 1::2] + above) + 1)
+    return lo, hi
+
+
+def _edge_functions(dx, dy, vx, vy, px, py):
+    """(P, 3) edge functions of points (px, py) against the rows' triangles."""
+    return dx * (py[:, None] - vy) - dy * (px[:, None] - vx)
+
 
 def _interpolate(batch: _TriangleBatch, k, lam, one_pixel):
     """(P,) 1/w, (P, 3) position/w and (P, 3) normal/w at barycentrics lam of triangles k.
@@ -261,7 +306,8 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
     """Rasterize every batch triangle into rows [band_y0, band_y1).
 
     A visibility buffer.  First the coverage and depth of every
-    (triangle, pixel) pair, a chunk of pairs at a time, under the
+    (triangle, pixel) pair of the triangles' coverage windows (see
+    ``_WINDOW_SLACK``), a chunk of pairs at a time, under the
     sequential depth rule: in submission order a candidate passes on
     ``zg < float32 stored depth`` and stores ``float32(zg)``, so the last
     passing candidate wins (a float64 argmin is not the same rule).  It
@@ -272,19 +318,16 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
     """
     samples = SAMPLE_POSITIONS[fb.samples]
     width = fb.width
-    bb = batch.bbox
-    x_lo = np.clip(np.floor(bb[:, 0]) - 1, 0, width).astype(np.int64)
-    x_hi = np.clip(np.ceil(bb[:, 1]) + 1, 0, width).astype(np.int64)
-    y_lo = np.clip(np.floor(bb[:, 2]) - 1, band_y0, band_y1).astype(np.int64)
-    y_hi = np.clip(np.ceil(bb[:, 3]) + 1, band_y0, band_y1).astype(np.int64)
     vx = batch.xy[..., 0]
     vy = batch.xy[..., 1]
     dx = vx[:, [1, 2, 0]] - vx   # edge i runs v_i -> v_{i+1}
     dy = vy[:, [1, 2, 0]] - vy
     area2 = dx[:, 0] * (vy[:, 2] - vy[:, 0]) - dy[:, 0] * (vx[:, 2] - vx[:, 0])
     top_left = (dy < 0.0) | ((dy == 0.0) & (dx > 0.0))
-    in_band = ~((bb[:, 3] < band_y0 - 1) | (bb[:, 2] > band_y1 + 1))
-    tris = np.flatnonzero(in_band & (x_lo < x_hi) & (y_lo < y_hi) & (area2 > 0.0))
+    lo, hi = _coverage_window(batch.bbox, _thin(dx, dy, area2), samples)
+    x_lo, y_lo = np.clip(lo, (0, band_y0), (width, band_y1)).astype(np.int64).T
+    x_hi, y_hi = np.clip(hi, (0, band_y0), (width, band_y1)).astype(np.int64).T
+    tris = np.flatnonzero((x_lo < x_hi) & (y_lo < y_hi) & (area2 > 0.0))
 
     depth = fb.depth[band_y0:band_y1].reshape(-1, fb.samples)
     winner = np.full(depth.shape, -1, dtype=np.int32)  # index into tris
@@ -305,7 +348,7 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
         kdx, kdy, kvx, kvy, kz = dx[k], dy[k], vx[k], vy[k], batch.z[k]
         passed = np.zeros(len(pair), dtype=bool)
         for s, (sx, sy) in enumerate(samples):
-            e = kdx * ((row + sy)[:, None] - kvy) - kdy * ((col + sx)[:, None] - kvx)
+            e = _edge_functions(kdx, kdy, kvx, kvy, col + sx, row + sy)
             cover = ((e > 0.0) | ((e == 0.0) & top_left[k])).all(axis=1)
             zg = (e[:, 1] * kz[:, 0] + e[:, 2] * kz[:, 1] + e[:, 0] * kz[:, 2]) / area2[k]
             cand = by_pixel[cover[by_pixel]]  # by pixel, then submission order
@@ -335,7 +378,7 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
     k = tris[j]
     cx = pix % width + 0.5
     cy = pix // width + band_y0 + 0.5
-    ec = dx[k] * (cy[:, None] - vy[k]) - dy[k] * (cx[:, None] - vx[k])
+    ec = _edge_functions(dx[k], dy[k], vx[k], vy[k], cx, cy)
     lam = ec[:, [1, 2, 0]] / area2[k, None]
     iw_p, wpos_iw, wnrm_iw = _interpolate(batch, k, lam, lit[j] == 1)
     iw_p = np.maximum(iw_p, 1e-12)

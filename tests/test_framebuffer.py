@@ -40,6 +40,20 @@ def test_create_framebuffer_shapes_and_clear():
     assert np.all(fb.color[..., 2] == np.float32(0.75))
 
 
+@pytest.mark.parametrize("width, height, samples", [(1, 1, 1), (7, 1, 2), (1, 5, 4), (9, 6, 8)])
+def test_clear_overwrites_every_sample(width, height, samples):
+    """Colour to the float32 of each channel and depth to +inf, whatever the
+    target held before, down to a single row, column or pixel."""
+    fb = create_framebuffer(width, height, samples)
+    rng = np.random.default_rng(width * height * samples)
+    fb.color[:] = rng.random(fb.color.shape)
+    fb.depth[:] = rng.random(fb.depth.shape)
+    color = np.array([0.1, 2.0 / 3.0, 1.0 + 2.0 ** -30])
+    clear_framebuffer(fb, color)
+    assert np.array_equal(fb.color, np.broadcast_to(color.astype(np.float32), fb.color.shape))
+    assert np.all(fb.depth == np.inf)
+
+
 def test_create_framebuffer_rejects_bad_config():
     with pytest.raises(ConfigurationError):
         create_framebuffer(4, 4, 3)

@@ -11,7 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from softrender import raster
 from softrender.errors import ConfigurationError, ValidationError
 from softrender.framebuffer import SAMPLE_POSITIONS, create_framebuffer, ppm_bytes, resolve_msaa
 from softrender.frameloop import RenderConfig, build_scene_blases, make_tlas_instances
@@ -649,3 +652,202 @@ def test_interpolate_matches_per_triangle_products():
     got = _interpolate(batch, k[order], lam[order], rows[k[order]] == 1)
     for g, w in zip(got, want):
         assert g.tobytes() == w[order].tobytes()
+
+
+# ----------------------------------------------------- coverage windows
+
+def nudge_ulps(v, rng, most=3):
+    """v moved by up to `most` ulps either way, per element."""
+    steps = rng.integers(-most, most + 1, v.shape)
+    for k in range(most):
+        v = np.where(steps > k, np.nextafter(v, np.inf), v)
+        v = np.where(steps < -k, np.nextafter(v, -np.inf), v)
+    return v
+
+
+def edge_setup(xy):
+    """vx, vy, dx, dy, area2 and top_left as `_raster_band` derives them."""
+    vx, vy = xy[..., 0], xy[..., 1]
+    dx, dy = vx[:, [1, 2, 0]] - vx, vy[:, [1, 2, 0]] - vy
+    area2 = dx[:, 0] * (vy[:, 2] - vy[:, 0]) - dy[:, 0] * (vx[:, 2] - vx[:, 0])
+    return vx, vy, dx, dy, area2, (dy < 0.0) | ((dy == 0.0) & (dx > 0.0))
+
+
+def sliver_soup(kind, n, seed):
+    """(n, 3, 2) screen triangles around a 64x48 target, wound for the edge test.
+
+    "sliver": the third vertex 0 or 1e-14 to 1 px off the line through the
+    other two; "axis": the same along axis-aligned and 45-degree lines
+    through the 1/16 sample lattice, every vertex then moved by up to 3 ulps;
+    "lattice": vertices on the 1/16 lattice, each moved by up to 3 ulps;
+    "far": one vertex 1e2 to 1e6 px away, on the line through the other
+    two for half of them; "tiny": triangles under a pixel across.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.uniform([-6.0, -6.0], [70.0, 54.0], (n, 2))
+    if kind in ("sliver", "axis"):
+        if kind == "sliver":
+            b = a + rng.uniform(-24.0, 24.0, (n, 2))
+        else:
+            a = np.round(a * 16.0) / 16.0
+            axis = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])[rng.integers(0, 4, n)]
+            b = a + axis * rng.choice([-1.0, 1.0], (n, 1)) * rng.integers(1, 481, (n, 1)) / 16.0
+        d = b - a
+        normal = np.stack([-d[:, 1], d[:, 0]], axis=1) / np.linalg.norm(d, axis=1, keepdims=True)
+        off = rng.choice([-1.0, 0.0, 1.0], (n, 1)) * 10.0 ** rng.uniform(-14.0, 0.0, (n, 1))
+        t = rng.uniform(-0.25, 1.25, (n, 1))
+        if kind == "axis":  # on the lattice, then moved by ulps
+            t = np.round(t * 16.0) / 16.0
+            off[::2] = 0.0
+        xy = np.stack([a, b, a + t * d + off * normal], axis=1)
+        if kind == "axis":
+            xy = nudge_ulps(xy, rng)
+    elif kind == "far":
+        b = a + rng.uniform(-8.0, 8.0, (n, 2))
+        c = a + rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(2.0, 6.0, (n, 1))
+        line = rng.random(n) < 0.5
+        c[line] = a[line] + (b - a)[line] * -(10.0 ** rng.uniform(1.0, 5.0, (line.sum(), 1)))
+        xy = np.stack([a, b, c], axis=1)
+    elif kind == "lattice":
+        a = np.round(a * 16.0) / 16.0
+        xy = a[:, None] + rng.integers(-48, 49, (n, 3, 2)) / 16.0
+        xy = nudge_ulps(xy, rng)
+    else:
+        xy = a[:, None] + rng.uniform(-1.0, 1.0, (n, 3, 2)) * 10.0 ** rng.uniform(-3.0, 0.0, (n, 1, 1))
+    flip = edge_setup(xy)[4] < 0.0
+    xy[flip] = xy[flip][:, [0, 2, 1]]
+    return xy
+
+
+def soup_batch(xy, seed):
+    """A `_TriangleBatch` over screen triangles xy with seeded attributes."""
+    rng = np.random.default_rng(seed)
+    n = len(xy)
+    normals = rng.normal(size=(n, 3, 3))
+    return _TriangleBatch(
+        xy=xy, z=rng.uniform(0.05, 0.95, (n, 3)), iw=rng.uniform(0.5, 2.0, (n, 3)),
+        wpos_iw=rng.normal(0.0, 1.0, (n, 3, 3)) + [0.0, 0.0, -3.0],
+        wnrm_iw=normals / np.linalg.norm(normals, axis=2, keepdims=True),
+        material=rng.integers(0, 3, n).astype(np.int32),
+        bbox=np.stack([xy[..., 0].min(axis=1), xy[..., 0].max(axis=1),
+                       xy[..., 1].min(axis=1), xy[..., 1].max(axis=1)], axis=1))
+
+
+def soup_scene():
+    return Scene(materials=[gray_material(m, base=0.2 + 0.3 * m) for m in range(3)],
+                 lights=[PointLight(position=[0.5, 1.0, 1.0], intensity=[6.0] * 3)])
+
+
+def hex_triangle(*coords):
+    return np.array([[float.fromhex(c) for c in coords]]).reshape(1, 3, 2)
+
+
+# thin: its smallest angle has a sine of about 2e-16 (area2 = 1.1e-12)
+RECORDED_SLIVER = hex_triangle("0x1.7880000000002p+5", "0x1.bd00000000003p+4",
+                               "0x1.8300000000002p+6", "0x1.35fffffffffffp+6",
+                               "0x1.28c0000000000p+6", "0x1.b780000000000p+5")
+
+
+@pytest.mark.parametrize("xy, msaa, count, sample", [
+    # sample 0 of pixel (row 27, col 46) lies 0.69 px outside the box
+    (RECORDED_SLIVER, 4, 8, (27, 46, 0)),
+    # area2 = 100 eps L^2 over its 38 px longest edge L: thin only once the
+    # bound grows with L; sample 0 of pixel (34, 32) lies 1/16 px outside
+    (hex_triangle("0x1.0580000000002p+5", "0x1.167fffffffffep+5",
+                  "0x1.5ffffffffffffp+2", "0x1.effffffffffffp+5",
+                  "0x1.ccbfffffffd5ep+2", "0x1.e267fffffffaap+5"), 2, 1, (34, 32, 0)),
+    # not thin (sine about 1e-9); sample 2 of pixel (16, 54) lies 1 ulp
+    # outside the box on both axes, within the slack
+    (hex_triangle("0x1.8800000000002p+4", "0x1.71ffffffffffdp+5",
+                  "0x1.e0dffff90faddp+4", "0x1.458ffffc87d6fp+5",
+                  "0x1.b0fffffffffffp+5", "0x1.0a00000000002p+4"), 4, 1, (16, 54, 2)),
+], ids=["thin-sliver", "long-sliver", "one-ulp-outside"])
+def test_samples_covered_outside_the_box_stay_written(xy, msaa, count, sample):
+    """Recorded from the one-pixel-margin rectangle: rounding makes the edge
+    test cover these samples outside the triangle's closed box."""
+    fb = create_framebuffer(128, 96, msaa)
+    _raster_band(fb, soup_batch(xy, 0), soup_scene(), None, np.zeros(3), False, 0, 96)
+    written = [tuple(s) for s in np.argwhere(np.isfinite(fb.depth))]
+    assert len(written) == count
+    assert sample in written
+    row, col, s = sample
+    sx, sy = col + SAMPLE_POSITIONS[msaa][s, 0], row + SAMPLE_POSITIONS[msaa][s, 1]
+    assert not (xy[0, :, 0].min() <= sx <= xy[0, :, 0].max()
+                and xy[0, :, 1].min() <= sy <= xy[0, :, 1].max())
+
+
+# recorded from the one-pixel-margin rectangle of every triangle
+PINNED_SLIVER_SOUP_SHA256 = "2ef3f42758ff355829de92048fe064309510986acafd821aa47c26174ae14c23"
+
+
+def test_sliver_soup_matches_pinned_sha256():
+    """The recorded thin sliver and every kind of `sliver_soup` in one batch,
+    at MSAA 1/2/4/8, in two bands."""
+    xy = np.concatenate([RECORDED_SLIVER] + [sliver_soup(kind, 150, seed)
+                         for seed, kind in enumerate(["sliver", "axis", "far", "lattice", "tiny"])])
+    batch = soup_batch(xy, 99)
+    scene = soup_scene()
+    digest = hashlib.sha256()
+    for msaa in (1, 2, 4, 8):
+        fb = create_framebuffer(64, 48, msaa)
+        for y0, y1 in ((0, 17), (17, 48)):
+            _raster_band(fb, batch, scene, None, np.zeros(3), False, y0, y1)
+        digest.update(fb.color.tobytes())
+        digest.update(fb.depth.tobytes())
+    assert digest.hexdigest() == PINNED_SLIVER_SOUP_SHA256
+
+
+def pixel_rects(lo, hi):
+    """(rectangle, column, row) of every pixel in each [lo, hi) rectangle of (x, y) bounds."""
+    size = np.maximum(hi - lo, 0).astype(np.int64)
+    n = size[:, 0] * size[:, 1]
+    t = np.repeat(np.arange(len(n)), n)
+    offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    return t, lo[t, 0] + offset % size[t, 0], lo[t, 1] + offset // size[t, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["sliver", "axis", "far", "lattice", "tiny"]),
+       seed=st.integers(0, 2**32 - 1), msaa=st.sampled_from([1, 2, 4, 8]))
+def test_window_drops_only_samples_the_edge_test_misses(kind, seed, msaa):
+    """The window lies inside the one-pixel-margin rectangle, and on triangles
+    that are not thin the edge test covers no sample in between."""
+    xy = sliver_soup(kind, 64, seed)
+    vx, vy, dx, dy, area2, top_left = edge_setup(xy)
+    keep = area2 > 0.0
+    xy, vx, vy, dx, dy, area2, top_left = (a[keep] for a in (xy, vx, vy, dx, dy, area2, top_left))
+    thin = raster._thin(dx, dy, area2)
+    bbox = soup_batch(xy, 0).bbox
+    rect_lo, rect_hi = np.floor(bbox[:, 0::2]) - 1, np.ceil(bbox[:, 1::2]) + 1
+    lo, hi = raster._coverage_window(bbox, thin, SAMPLE_POSITIONS[msaa])
+    assert np.all((lo >= rect_lo) & (hi <= rect_hi))
+    assert np.array_equal(lo[thin], rect_lo[thin]) and np.array_equal(hi[thin], rect_hi[thin])
+
+    frame_lo, frame_hi = (0, 0), (64, 48)
+    t, col, row = pixel_rects(np.clip(rect_lo, frame_lo, frame_hi),
+                              np.clip(rect_hi, frame_lo, frame_hi))
+    ring = ~thin[t] & ~((col >= lo[t, 0]) & (col < hi[t, 0]) & (row >= lo[t, 1]) & (row < hi[t, 1]))
+    t, col, row = t[ring], col[ring], row[ring]
+    for sx, sy in SAMPLE_POSITIONS[msaa]:
+        e = raster._edge_functions(dx[t], dy[t], vx[t], vy[t], col + sx, row + sy)
+        cover = ((e > 0.0) | ((e == 0.0) & top_left[t])).all(axis=1)
+        assert not cover.any(), xy[t[cover][0]].tolist()
+
+
+def test_pair_chunk_size_does_not_change_output(bench_gltf, monkeypatch):
+    """bench.gltf at d=0..1, MSAA 1/4/8: any chunk of (triangle, pixel) pairs,
+    down to one pair, gives the same colour and depth bits."""
+    base = load_gltf(bench_gltf)
+    refresh_world_transforms(base)
+    for d in range(2):
+        scene = duplicate_scene_geometry(base, d)
+        refresh_world_transforms(scene)
+        for msaa in (1, 4, 8):
+            cfg = config(width=64, height=48, msaa=msaa)
+            want = main_pass(scene, None, cfg)
+            for chunk in (1, 7, 1 << 20):
+                monkeypatch.setattr(raster, "_PAIR_CHUNK", chunk)
+                fb = main_pass(scene, None, cfg)
+                monkeypatch.undo()
+                assert fb.color.tobytes() == want.color.tobytes()
+                assert fb.depth.tobytes() == want.depth.tobytes()
