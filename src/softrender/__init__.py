@@ -34,7 +34,7 @@ from .interchange import (
     unlink_region,
 )
 from .overlay import format_stats, overlay_pass, render_text
-from .raster import DrawCommand, build_draw_list, main_pass
+from .raster import Draws, build_draws, main_pass
 from .scene import (
     Camera, MaterialPbr, MeshGeometry, PointLight, Scene, SceneNode,
     apply_transform_table, compute_world_transforms, duplicate_scene_geometry,

@@ -4,11 +4,13 @@ A Blas (bottom level) is built once per geometry over object-space
 triangles with a binned surface-area heuristic, whose split search
 sweeps every (axis, bin) at once; the build splits one node at a time.
 A Tlas (top level) is rebuilt from scratch every frame over the
-world-space boxes of the instances, working on stacked instance arrays:
-one corner transform gives every world box, one batched inversion every
-inverse, and the level-synchronous build splits every node of one depth
-in one array step.  It returns the per-node build's arrays bit for bit,
-and that build stays the reference tests compare it against.  The BLAS
+world-space boxes of the instances, working on instance arrays: one
+corner transform gives every world box, the inverses come from the
+caller (the frame loop reuses those its pose check computed; build_tlas
+makes them in one batched inversion), and the level-synchronous build
+splits every node of one depth in one array step.  It returns the
+per-node build's arrays bit for bit, and that build stays the reference
+tests compare it against.  The BLAS
 keeps the per-node build because it runs once per geometry at set-up on
 trees that are nearly chains, where a level step costs more than the
 one node it splits.  Queries run in batches: rays
@@ -464,40 +466,70 @@ class TlasInstance:
 
 @dataclass
 class Tlas(_Nodes):
-    instances: list[TlasInstance]
-    inst_order: np.ndarray
+    blases: list[Blas]          # each distinct BLAS once
+    blas_index: np.ndarray      # (K,) each instance's BLAS, an index into blases
+    transforms: np.ndarray      # (K, 4, 4) object to world
     inv_transforms: np.ndarray  # (K, 4, 4)
+    node_names: list[str]
+    instance_ids: np.ndarray    # (K,)
+    inst_order: np.ndarray
     world_lo: np.ndarray        # (K, 3) per-instance world bounds
     world_hi: np.ndarray
     frame_index: int = 0
 
+    @property
+    def instances(self) -> list[TlasInstance]:
+        """The instances as TlasInstance records, made on every access."""
+        return [TlasInstance(blas=self.blases[b], transform=m, node_name=name, instance_id=int(i))
+                for b, m, name, i in zip(self.blas_index, self.transforms, self.node_names,
+                                         self.instance_ids)]
+
 
 def build_tlas(instances: list[TlasInstance], frame_index: int = 0) -> Tlas:
     """Full rebuild over the instance list; no incremental refit."""
-    if not instances:
-        return Tlas(instances=[], node_lo=np.zeros((1, 3)), node_hi=np.zeros((1, 3)),
+    blases = list({id(inst.blas): inst.blas for inst in instances}.values())
+    index = {id(blas): b for b, blas in enumerate(blases)}
+    transforms = np.array([inst.transform for inst in instances]).reshape(-1, 4, 4)
+    return build_tlas_arrays(blases, np.array([index[id(inst.blas)] for inst in instances],
+                                              dtype=np.int64),
+                             transforms, np.linalg.inv(transforms),
+                             [inst.node_name for inst in instances],
+                             np.array([inst.instance_id for inst in instances], dtype=np.int64),
+                             frame_index)
+
+
+def build_tlas_arrays(blases: list[Blas], blas_index: np.ndarray, transforms: np.ndarray,
+                      inv_transforms: np.ndarray, node_names: list[str],
+                      instance_ids: np.ndarray, frame_index: int = 0) -> Tlas:
+    """build_tlas over K instances given as arrays: instance k is
+    blases[blas_index[k]] at transforms[k], whose inverse the caller
+    supplies.  The Tlas keeps the arrays it is given, so each call needs
+    its own transforms and inverses."""
+    if not len(transforms):
+        return Tlas(blases=[], blas_index=np.zeros(0, dtype=np.int64),
+                    transforms=np.zeros((0, 4, 4)), inv_transforms=np.zeros((0, 4, 4)),
+                    node_names=[], instance_ids=np.zeros(0, dtype=np.int64),
+                    node_lo=np.zeros((1, 3)), node_hi=np.zeros((1, 3)),
                     node_left=np.int32([-1]), node_right=np.int32([-1]),
                     node_start=np.int32([0]), node_count=np.int32([0]),
                     inst_order=np.zeros(0, dtype=np.int64),
-                    inv_transforms=np.zeros((0, 4, 4)),
                     world_lo=np.zeros((0, 3)), world_hi=np.zeros((0, 3)),
                     frame_index=frame_index)
-    transforms = np.array([inst.transform for inst in instances])
-    root_lo = np.array([inst.blas.node_lo[0] for inst in instances])
-    root_hi = np.array([inst.blas.node_hi[0] for inst in instances])
+    root_lo = np.array([blas.node_lo[0] for blas in blases])[blas_index]
+    root_hi = np.array([blas.node_hi[0] for blas in blases])[blas_index]
     corners = np.where(_CORNER_IS_HI, root_hi[:, None], root_lo[:, None])
     world = corners @ transforms[:, :3, :3].transpose(0, 2, 1) + transforms[:, None, :3, 3]
     world_lo = world.min(axis=1)
     world_hi = world.max(axis=1)
     *nodes, order = _build_bvh_levels(world_lo, world_hi, LEAF_MAX_INSTANCES)
-    return Tlas(*nodes, instances=list(instances),
-                inst_order=order, inv_transforms=np.linalg.inv(transforms),
-                world_lo=world_lo, world_hi=world_hi,
-                frame_index=frame_index)
+    return Tlas(*nodes, blases=list(blases), blas_index=blas_index, transforms=transforms,
+                inv_transforms=inv_transforms, node_names=node_names,
+                instance_ids=instance_ids, inst_order=order,
+                world_lo=world_lo, world_hi=world_hi, frame_index=frame_index)
 
 
 def serialize_tlas(tlas: Tlas) -> bytes:
-    return _serialize([tlas.frame_index, len(tlas.instances)],
+    return _serialize([tlas.frame_index, len(tlas.instance_ids)],
                       (tlas.node_lo, tlas.node_hi, tlas.node_left, tlas.node_right,
                        tlas.node_start, tlas.node_count, tlas.inst_order,
                        tlas.inv_transforms, tlas.world_lo, tlas.world_hi))
@@ -553,10 +585,10 @@ def _hits(tlas: Tlas, o, d, t_min, t_max, closed: bool):
     # per (pair, triangle slot): pair, instance id, v0, e1, e2, triangle index, leaf size
     found = [(k[:0], k[:0], np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)), k[:0], k[:0])]
     for i in np.unique(k):
-        inst, pairs = tlas.instances[i], np.flatnonzero(k == i)
-        p, s, size = _reach(inst.blas, ko[pairs], kd[pairs], t_min[ray[pairs]], t_max[ray[pairs]])
-        found.append((pairs[p], np.full(len(s), inst.instance_id), inst.blas.v0[s],
-                      inst.blas.e1[s], inst.blas.e2[s], inst.blas.tri_order[s], size))
+        blas, pairs = tlas.blases[tlas.blas_index[i]], np.flatnonzero(k == i)
+        p, s, size = _reach(blas, ko[pairs], kd[pairs], t_min[ray[pairs]], t_max[ray[pairs]])
+        found.append((pairs[p], np.full(len(s), tlas.instance_ids[i]), blas.v0[s],
+                      blas.e1[s], blas.e2[s], blas.tri_order[s], size))
     pair, inst_id, v0, e1, e2, tri, size = (np.concatenate(c) for c in zip(*found))
     ray, ko, kd = ray[pair], ko[pair], kd[pair]
     pvec = np.cross(kd, e2)  # C-ordered: einsum below rounds F-ordered rows differently
@@ -711,13 +743,13 @@ def blas_dump_text(blas: Blas) -> str:
 
 
 def tlas_dump_text(tlas: Tlas) -> str:
-    header = f"tlas frame={tlas.frame_index} instances={len(tlas.instances)}"
-    if not tlas.instances:
+    header = f"tlas frame={tlas.frame_index} instances={len(tlas.instance_ids)}"
+    if not len(tlas.instance_ids):
         return header
 
     def leaf_text(slots):
-        insts = [tlas.instances[int(tlas.inst_order[k])] for k in slots]
-        return (f"instances={[inst.instance_id for inst in insts]} "
-                f"names={[inst.node_name for inst in insts]}")
+        insts = [int(tlas.inst_order[k]) for k in slots]
+        return (f"instances={[int(tlas.instance_ids[i]) for i in insts]} "
+                f"names={[tlas.node_names[i] for i in insts]}")
 
     return _dump_text(header, tlas, leaf_text)

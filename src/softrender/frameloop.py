@@ -8,24 +8,32 @@ while a frame in flight may still use it.  A third, loop-lifetime queue
 runs finalizers in reverse push order so dependents are released before
 what they depend on.
 
-Frame order: flush slot queue -> apply external poses -> rebuild TLAS ->
-build and sort draws -> main pass -> resolve -> FXAA -> overlay ->
-write image -> record stage timings -> pace to the frame budget.
+Before the first frame the loop builds one BLAS per geometry, puts every
+world transform into one WorldTable (scene.world's entries for posed
+names become views of its rows) and sorts the draws, once per loop: the
+node set does not change within a loop, only the poses do.
+
+Frame order: flush slot queue -> apply external poses to the table ->
+rebuild TLAS from the table's mesh rows -> gather the draws' world
+matrices -> main pass -> resolve -> FXAA -> overlay -> write image ->
+record stage timings -> pace to the frame budget.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .accel import Blas, TlasInstance, build_blas, build_tlas, compact_blas
+import numpy as np
+
+from .accel import Blas, TlasInstance, build_blas, build_tlas_arrays, compact_blas
 from .errors import ConfigurationError, ValidationError
 from .framebuffer import SAMPLE_POSITIONS, create_framebuffer, resolve_msaa, write_image
 from .fxaa import fxaa_pass
 from .overlay import overlay_pass
-from .raster import build_draw_list, main_pass, select_camera
-from .scene import Scene, apply_transform_table, refresh_world_transforms
+from .raster import main_pass, select_camera, sort_draws
+from .scene import Scene, WorldTable, mesh_instances, refresh_world_transforms
 
 SLOT_COUNT = 2
 
@@ -172,15 +180,23 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     is not 16 values, non-finite or singular, keeps the previous pose and
     counts a warning.
     on_frame(frame_index, resources) runs inside each frame after pose
-    application, mainly so callers can push work onto the deletion queues.
+    application, mainly so callers can push work onto the deletion queues;
+    scene.world shows the frame's poses then, and must not be written.
     With output_prefix set, every frame is also written to
     '{prefix}-frame-{index:04d}.{format}'.
     """
     if not scene.world:
         refresh_world_transforms(scene)
     select_camera(scene, config.camera)  # fail before any work if absent
-    blases = build_scene_blases(scene)
-    triangles = scene.total_triangles()  # the draw list's total; poses do not change it
+    blases = list(build_scene_blases(scene).values())  # index = geometry id
+    table = WorldTable(scene)
+    names, geometry, material = mesh_instances(scene)
+    rows = np.fromiter(map(table.rows.__getitem__, names), np.int64, len(names))
+    draws = sort_draws(names, geometry, material, table.matrices[rows])
+    instance_ids = np.arange(len(names))
+    # the overlay's total; poses do not change it
+    triangles = int(np.array([g.triangle_count for g in scene.geometries],
+                             dtype=np.int64)[geometry].sum())
     resources = FrameResources(config)
     stats = FrameStats()
     images = []
@@ -197,7 +213,7 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
                 stats.pose_warnings += 1
             else:
                 try:
-                    stats.unmatched_poses += apply_transform_table(scene, snapshot)
+                    stats.unmatched_poses += table.apply(snapshot)
                 except ValidationError:
                     stats.pose_warnings += 1
                 else:
@@ -206,11 +222,12 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
             on_frame(i, resources)
 
         t0 = time.perf_counter()
-        instances = make_tlas_instances(scene, blases)
-        tlas = build_tlas(instances, frame_index=i)
+        world = table.matrices[rows]
+        tlas = build_tlas_arrays(blases, geometry, world,
+                                 table.inverses(rows), names, instance_ids, frame_index=i)
         t1 = time.perf_counter()
 
-        draws = build_draw_list(scene)
+        draws = replace(draws, world=world[draws.order])
         fb = resources.framebuffer(slot)
         main_pass(scene, tlas, config, draws=draws, fb=fb)
         t2 = time.perf_counter()

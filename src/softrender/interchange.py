@@ -36,7 +36,6 @@ import mmap
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -85,21 +84,45 @@ def _encode_name(name: str) -> bytes:
     return raw
 
 
-def _decode_records(buf: bytes, node_count: int):
-    records = np.frombuffer(buf, dtype=_RECORD, count=node_count)
+def _decode_names(records) -> list:
     try:
-        names = np.char.decode(records["name"], "utf-8").tolist()
+        return np.char.decode(records["name"], "utf-8").tolist()
     except UnicodeDecodeError as exc:
         raise IncompatibleRegionError(f"region holds a node name that is not UTF-8 ({exc})") \
             from None
-    mats = records["matrix"].reshape(-1, 4, 4).transpose(0, 2, 1).astype(np.float64)
-    return list(zip(names, mats))
 
 
-@dataclass
+def _decode_matrices(records) -> np.ndarray:
+    """(N, 4, 4) float64 from the records' column-major float32 matrices."""
+    return records["matrix"].reshape(-1, 4, 4).transpose(0, 2, 1).astype(np.float64)
+
+
+def _decode_records(buf: bytes, node_count: int):
+    records = np.frombuffer(buf, dtype=_RECORD, count=node_count)
+    return list(zip(_decode_names(records), _decode_matrices(records)))
+
+
 class TransformSnapshot:
-    generation: int
-    entries: list  # [(name, (4, 4) float64)]
+    """One stable frame of the table.
+
+    A reader's snapshot carries the roster's names, one list shared by
+    every snapshot of that reader, and matrices, their (N, 4, 4) float64
+    world transforms; entries pairs them up on first access.  A snapshot
+    built from entries carries only those, with names and matrices None.
+    """
+
+    def __init__(self, generation: int, entries=None, names=None, matrices=None):
+        self.generation = generation
+        self.names = names
+        self.matrices = matrices
+        self._entries = entries
+
+    @property
+    def entries(self) -> list:
+        """[(name, (4, 4) float64)]"""
+        if self._entries is None:
+            self._entries = list(zip(self.names, self.matrices))
+        return self._entries
 
     def mapping(self) -> dict:
         return dict(self.entries)
@@ -218,6 +241,7 @@ class TransformTableReader:
             raise RegionError(f"region '{name}' smaller than its declared layout")
         self.node_count = node_count
         self._mm = mmap.mmap(fd, size)
+        self._names = None  # the roster, decoded by the first stable read
 
     def read_frame(self) -> TransformSnapshot:
         """Copy out one stable snapshot under LOCK_SH.
@@ -225,6 +249,11 @@ class TransformTableReader:
         The generation must be even and identical before and after the
         copy.  Writers hold LOCK_EX for a whole write, so under the lock
         anything else is a writer that died mid-write: ContentionError.
+        The roster is fixed at creation, so its names are decoded once,
+        from the first copy that passes this check (a reader attached
+        while the writer was still setting up would otherwise see zeroed
+        names), and every later snapshot shares that list.  Each snapshot
+        gets its own matrices.
         """
         fcntl.flock(self._fd, fcntl.LOCK_SH)
         try:
@@ -236,7 +265,11 @@ class TransformTableReader:
         if g1 % 2 == 1 or g1 != g2:
             raise ContentionError(f"region '{self.name}' is stuck at generation {g2} "
                                   "(a writer died mid-write)")
-        return TransformSnapshot(generation=g1, entries=_decode_records(raw, self.node_count))
+        records = np.frombuffer(raw, dtype=_RECORD, count=self.node_count)
+        if self._names is None:
+            self._names = _decode_names(records)
+        return TransformSnapshot(generation=g1, names=self._names,
+                                 matrices=_decode_matrices(records))
 
     def close(self) -> None:
         if self._mm is not None:

@@ -41,35 +41,48 @@ from .accel import shadow_mask
 from .errors import ConfigurationError, ValidationError
 from .framebuffer import SAMPLE_POSITIONS, Framebuffer, clear_framebuffer, create_framebuffer
 from .linalg import dot_rows, normalize, perspective
-from .scene import Camera, Scene, check_invertible
+from .scene import Camera, Scene, check_invertible, mesh_instances
 from .shading import ShadingSample, linear_to_srgb, reinhard_tonemap, shade_direct
 
 if TYPE_CHECKING:  # frameloop imports this module
     from .frameloop import RenderConfig
 
 
-@dataclass(frozen=True)
-class DrawCommand:
-    node_name: str
-    geometry_id: int
-    material_id: int
+@dataclass
+class Draws:
+    """One draw per mesh-bearing node, as arrays, in submission order.
 
-    @property
-    def sort_key(self):
-        return (self.material_id, self.geometry_id, self.node_name)
-
-
-def build_draw_list(scene: Scene) -> list[DrawCommand]:
-    """One command per mesh-bearing node, in submission order.
-
-    Sorting groups draws that share both material state and geometry.
+    Draws are sorted by (material id, geometry id, node name), which
+    groups draws that share both material state and geometry.
     """
-    commands = [
-        DrawCommand(node_name=n.name, geometry_id=n.mesh_instance[0],
-                    material_id=n.mesh_instance[1])
-        for n in scene.mesh_nodes()
-    ]
-    return sorted(commands, key=lambda c: c.sort_key)
+
+    node_names: list[str]
+    geometry: np.ndarray  # (D,) geometry ids
+    material: np.ndarray  # (D,) int32 material ids
+    world: np.ndarray     # (D, 4, 4) world matrices
+    order: np.ndarray     # (D,) each draw's index among the mesh nodes
+
+
+def sort_draws(node_names: list[str], geometry: np.ndarray, material: np.ndarray,
+               world: np.ndarray) -> Draws:
+    """Draws of the mesh nodes given in node order: names, geometry ids,
+    material ids and (K, 4, 4) world matrices.
+
+    Names order as Python strings do (numpy's strings ignore trailing
+    NULs): a stable sort by name, then a stable sort by the two ids.
+    """
+    by_name = np.array(sorted(range(len(node_names)), key=node_names.__getitem__),
+                       dtype=np.int64)
+    order = by_name[np.lexsort((geometry[by_name], material[by_name]))]
+    return Draws(node_names=[node_names[k] for k in order.tolist()], geometry=geometry[order],
+                 material=material[order].astype(np.int32), world=world[order], order=order)
+
+
+def build_draws(scene: Scene) -> Draws:
+    """The scene's draws, with world matrices from scene.world."""
+    names, geometry, material = mesh_instances(scene)
+    world = np.array([scene.world[name] for name in names], dtype=np.float64)
+    return sort_draws(names, geometry, material, world.reshape(-1, 4, 4))
 
 
 def select_camera(scene: Scene, name: str | None = None) -> Camera:
@@ -154,23 +167,22 @@ def _clip_near(clip, wpos, wnrm):
     return (*out, rows, np.repeat([0, 1], [len(clip), int(fan.sum())]))
 
 
-def _geometry_stage(scene: Scene, draws, view, proj, width, height,
+def _geometry_stage(scene: Scene, draws: Draws, view, proj, width, height,
                     frustum_culling: bool, backface_culling: bool) -> _TriangleBatch:
     """Transform, cull, near-clip and project every draw, in submission order.
 
-    One pass per geometry over the stacked world matrices of its draws.
+    One pass per geometry over the world matrices of its draws.
     Within a draw, fully inside triangles keep their order and come
     first, then the fan triangles of the near-clipped ones; depth ties
-    depend on this order.  Degenerate (zero-area) triangles drop;
-    winding is normalized so edge functions are positive inside,
+    depend on this order.  Degenerate triangles drop: zero area, and
+    areas below the smallest normal float, which would divide depth to
+    inf.  Winding is normalized so edge functions are positive inside,
     flipping vertex order when needed.
     """
-    if not draws:
+    if not len(draws.geometry):
         return _empty_batch()
     vp = proj @ view
-    geometry = np.array([cmd.geometry_id for cmd in draws])
-    material = np.array([cmd.material_id for cmd in draws], dtype=np.int32)
-    world = np.stack([scene.world[cmd.node_name] for cmd in draws])
+    geometry, material, world = draws.geometry, draws.material, draws.world
     parts = []  # (clip, wpos, wnrm, draw rank, clipped, triangle, fan)
     for gid in np.unique(geometry):
         geo = scene.geometries[gid]
@@ -193,7 +205,7 @@ def _geometry_stage(scene: Scene, draws, view, proj, width, height,
         try:
             inv = np.linalg.inv(m[:, :3, :3])
         except np.linalg.LinAlgError:
-            check_invertible([draws[r].node_name for r in rank], m[:, :3, :3], "node")
+            check_invertible([draws.node_names[r] for r in rank], m[:, :3, :3], "node")
             raise
         wnrm = geo.normals @ inv  # row n becomes inv(M3).T @ n, the normal matrix
 
@@ -221,10 +233,9 @@ def _geometry_stage(scene: Scene, draws, view, proj, width, height,
     z = ndc[..., 2]
     area2 = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
              - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+    keep = ~(np.abs(area2) < np.finfo(np.float64).tiny)
     if backface_culling:
-        keep = area2 < 0.0  # front faces wind counter-clockwise before the y flip
-    else:
-        keep = area2 != 0.0
+        keep &= area2 < 0.0  # front faces wind counter-clockwise before the y flip
     xy = np.stack([x, y], axis=-1)[keep]
     z, iw, wpos, wnrm = z[keep], iw[keep], wpos[keep], wnrm[keep]
     flip = area2[keep] < 0.0
@@ -402,13 +413,12 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
     color[covered] = display[source]
 
 
-def main_pass(scene: Scene, tlas, config: RenderConfig,
-              draws: list[DrawCommand] | None = None,
+def main_pass(scene: Scene, tlas, config: RenderConfig, draws: Draws | None = None,
               fb: Framebuffer | None = None) -> Framebuffer:
     """Render the scene into a (possibly recycled) multisampled target.
 
-    Passing a prebuilt draw list is optional; outputs are identical
-    either way.
+    Passing prebuilt draws is optional; without them the draws are built
+    from scene.world, and outputs are identical either way.
     """
     if fb is None:
         fb = create_framebuffer(config.width, config.height, config.msaa)
@@ -418,7 +428,7 @@ def main_pass(scene: Scene, tlas, config: RenderConfig,
     clear_framebuffer(fb, linear_to_srgb(scene.clear_color))
 
     if draws is None:
-        draws = build_draw_list(scene)
+        draws = build_draws(scene)
     batch = _geometry_stage(scene, draws, view, proj, fb.width, fb.height,
                             config.frustum_culling, config.backface_culling)
     if batch.count == 0:

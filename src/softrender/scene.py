@@ -123,6 +123,14 @@ class Scene:
         return sum(per_geometry[n.mesh_instance[0]] for n in self.nodes if n.mesh_instance is not None)
 
 
+def mesh_instances(scene: Scene) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Names, int64 geometry ids and int64 material ids of the mesh-bearing nodes, in node order."""
+    mesh = scene.mesh_nodes()
+    geometry, material = np.array(list(zip(*[n.mesh_instance for n in mesh])),
+                                  dtype=np.int64).reshape(2, -1)
+    return [n.name for n in mesh], geometry, material
+
+
 def validate_scene(scene: Scene) -> None:
     """Check container references, unique names, and the forest property."""
     names = [n.name for n in scene.nodes]
@@ -177,8 +185,8 @@ def refresh_world_transforms(scene: Scene) -> None:
     scene.world = compute_world_transforms(scene)
 
 
-def check_invertible(names, mats: np.ndarray, what: str) -> None:
-    """Raise ValidationError unless every one of the (N, n, n) mats is finite and invertible.
+def check_invertible(names, mats: np.ndarray, what: str) -> np.ndarray:
+    """The inverses of the (N, n, n) mats; ValidationError unless every one is finite and invertible.
 
     The message names the first bad matrix as "{what} '{name}'".  The TLAS
     build and the renderer invert every node transform, so a matrix that
@@ -189,37 +197,97 @@ def check_invertible(names, mats: np.ndarray, what: str) -> None:
     if not finite.all():
         raise ValidationError(f"{what} '{names[int(np.argmin(finite))]}' holds a non-finite matrix")
     try:
-        np.linalg.inv(mats)
+        return np.linalg.inv(mats)
     except np.linalg.LinAlgError:
         for name, mat in zip(names, mats):  # find the culprit
             try:
                 np.linalg.inv(mat)
             except np.linalg.LinAlgError as exc:
                 raise ValidationError(f"{what} '{name}' holds a singular matrix ({exc})") from exc
+        raise
+
+
+def _snapshot_arrays(snapshot):
+    """(names, (N, 4, 4) float64 matrices) of a pose snapshot.
+
+    A snapshot has entries, [(name, matrix)]; one that also carries names
+    and matrices arrays (a reader's interchange.TransformSnapshot) is
+    taken as it is, with no pass over its entries.
+    """
+    mats = getattr(snapshot, "matrices", None)
+    if mats is not None:
+        if mats.shape != (len(snapshot.names), 4, 4):
+            raise ValidationError(f"pose snapshot matrices have shape {mats.shape}, "
+                                  f"expected ({len(snapshot.names)}, 4, 4)")
+        return snapshot.names, mats
+    try:
+        mats = np.array([np.reshape(mat, (4, 4)) for _, mat in snapshot.entries],
+                        dtype=np.float64).reshape(-1, 4, 4)
+    except ValueError as exc:
+        raise ValidationError(f"pose snapshot holds a matrix that is not 4x4 ({exc})") from exc
+    return [name for name, _ in snapshot.entries], mats
+
+
+class WorldTable:
+    """Every world transform of a scene as a row of one (N, 4, 4) array.
+
+    Built from scene.world; rows maps a node name to its row.  Applying a
+    snapshot makes the scene.world entry of each name it poses a view of
+    that name's row, once per roster, so scene.world shows every applied
+    pose.  scene.world must not be written while the table is in use.
+    Rows are looked up once per names list: a snapshot's list of names
+    (a reader's roster) must not change after it is applied.
+    The table keeps the inverse of every row whose pose came with a
+    checked inverse and computes the others only when asked for them.
+    """
+
+    def __init__(self, scene: Scene):
+        self.world = scene.world
+        self.rows = dict(zip(scene.world, range(len(scene.world))))
+        self.matrices = np.concatenate([np.zeros((0, 4)), *scene.world.values()],
+                                       dtype=np.float64).reshape(-1, 4, 4)
+        self._inverses = np.empty_like(self.matrices)
+        self._inverted = np.zeros(len(self.matrices), dtype=bool)
+        self._roster = (None, None, None, 0)  # names, source entries, their rows, unmatched
+
+    def apply(self, snapshot) -> int:
+        """apply_transform_table on the table; see there."""
+        names, mats = _snapshot_arrays(snapshot)
+        inverses = check_invertible(names, mats, "pose snapshot entry")
+        if names is not self._roster[0]:  # a reader's snapshots share one roster list
+            rows = np.fromiter((self.rows.get(n, -1) for n in names), np.int64, len(names))
+            # a name given twice keeps its last entry: fancy-index writes have no order
+            last = len(rows) - 1 - np.unique(rows[::-1], return_index=True)[1]
+            source = last[rows[last] >= 0]
+            self._roster = (names, source, rows[source], int((rows < 0).sum()))
+            self.world.update((names[k], self.matrices[rows[k]]) for k in source)
+        _, source, rows, unmatched = self._roster
+        self.matrices[rows] = mats[source]
+        self._inverses[rows] = inverses[source]
+        self._inverted[rows] = True
+        return unmatched
+
+    def inverses(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), 4, 4) inverses of those rows, inverting only the rows that lack one."""
+        stale = rows[~self._inverted[rows]]
+        if len(stale):
+            self._inverses[stale] = np.linalg.inv(self.matrices[stale])
+            self._inverted[stale] = True
+        return self._inverses[rows]
 
 
 def apply_transform_table(scene: Scene, snapshot) -> int:
     """Overwrite node world transforms from an interchange snapshot.
 
     Matching is by node name; the hierarchy is bypassed on purpose since
-    the table carries world-space matrices.  Returns the number of
-    snapshot records that matched no scene node (non-fatal, surfaced in
-    frame stats).  Raises ValidationError, leaving the scene untouched,
-    if any matrix in the snapshot is not 16 values, non-finite or singular.
+    the table carries world-space matrices.  A name given twice ends at
+    its last matrix.  Returns the number of snapshot entries that matched
+    no scene.world name (non-fatal, surfaced in frame stats).  Raises
+    ValidationError, leaving the scene untouched, if any matrix in the
+    snapshot is not 16 values, non-finite or singular, checked in that
+    order.  The frame loop applies snapshots to its WorldTable directly.
     """
-    try:
-        mats = np.array([np.reshape(mat, (4, 4)) for _, mat in snapshot.entries],
-                        dtype=np.float64).reshape(-1, 4, 4)
-    except ValueError as exc:
-        raise ValidationError(f"pose snapshot holds a matrix that is not 4x4 ({exc})") from exc
-    check_invertible([name for name, _ in snapshot.entries], mats, "pose snapshot entry")
-    unmatched = 0
-    for (name, _), mat in zip(snapshot.entries, mats):
-        if name in scene.world:
-            scene.world[name] = mat.copy()
-        else:
-            unmatched += 1
-    return unmatched
+    return WorldTable(scene).apply(snapshot)
 
 
 def scene_world_aabb(scene: Scene) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,14 @@
 """Frame-loop lifecycle tests: deletion queues, slot cycling, pose
 application order, timing records, and output determinism."""
 
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from softrender.accel import build_tlas
+from softrender import frameloop
+from softrender.accel import build_tlas, serialize_tlas
 from softrender.errors import ConfigurationError
 from softrender.framebuffer import ppm_bytes, read_ppm, resolve_msaa
 from softrender.frameloop import (
@@ -21,8 +23,9 @@ from softrender.frameloop import (
     run_frame_loop,
     timing_csv,
 )
-from softrender.linalg import translate
-from softrender.procedural import make_shadow_scene, make_triangle_scene
+from softrender.interchange import attach_table, create_table, unlink_region
+from softrender.linalg import rotate_x, rotate_y, translate
+from softrender.procedural import make_bench_scene, make_shadow_scene, make_triangle_scene
 from softrender.raster import main_pass
 from softrender.scene import refresh_world_transforms
 
@@ -256,6 +259,75 @@ def test_unmatched_pose_entries_counted_per_frame():
                                  frames=4, pose_source=poses)
     assert stats.unmatched_poses == 4
     assert stats.pose_warnings == 0
+
+
+def test_every_frame_matches_an_oracle_render_of_scene_world(monkeypatch):
+    """A scripted pose stream: region reads, a partial snapshot, an unmatched
+    name, a posed camera, a node named twice, a non-finite pose, a raising
+    source and a singular pose.  Every frame's TLAS and image must equal a
+    TLAS built from TlasInstances and a fresh main pass of scene.world as
+    that frame sees it."""
+    scene = make_bench_scene()
+    cfg = small_config(width=56, height=42, msaa=2, shadows=True)
+    blases = build_scene_blases(scene)
+    mesh = [n.name for n in scene.mesh_nodes()]
+    roster = mesh[::-1] + ["ghost"]  # region order differs from node order
+    region = f"test-loop-{uuid.uuid4().hex[:12]}"
+    writer = create_table(region, roster)
+    reader = attach_table(region)
+
+    def region_pose(tick):
+        writer.write_frame([(name, translate(0.1 * tick, 0.05 * k, 0.0) @ rotate_y(0.2 * k + tick))
+                            for k, name in enumerate(roster)])
+        return reader.read_frame()
+
+    def fail():
+        raise OSError("simulated read failure")
+
+    script = [
+        lambda: region_pose(0),
+        lambda: FakeSnapshot([("cube.a", translate(0.5, 0.2, 0.0)), ("phantom", np.eye(4))], 10),
+        lambda: FakeSnapshot([("benchcam", translate(0.5, 1.0, 9.0) @ rotate_x(-0.1)),
+                              ("octa.b", translate(1.0, 1.4, -0.4))], 12),
+        lambda: FakeSnapshot([("sphere.a", translate(-3.0, 0.0, 0.0)),
+                              ("tetra.a", rotate_y(0.5)),
+                              ("sphere.a", translate(-0.5, 0.6, 1.5))], 14),
+        lambda: FakeSnapshot([("cube.b", translate(9.0, 0.0, 0.0)),
+                              ("octa.a", np.full((4, 4), np.nan))], 16),
+        fail,
+        lambda: FakeSnapshot([("ground", np.zeros((4, 4)))], 18),
+        lambda: region_pose(1),
+    ]
+    calls = iter(script)
+    seen = []
+    real_main_pass = frameloop.main_pass
+
+    def spy(scene_, tlas, config, **kwargs):
+        fb = real_main_pass(scene_, tlas, config, **kwargs)
+        oracle = build_tlas(make_tlas_instances(scene_, blases), frame_index=len(seen))
+        seen.append((serialize_tlas(tlas), serialize_tlas(oracle),
+                     resolve_msaa(main_pass(scene_, oracle, config)).pixels))
+        return fb
+
+    monkeypatch.setattr(frameloop, "main_pass", spy)
+    try:
+        images, _, stats = run_frame_loop(scene, cfg, frames=len(script),
+                                          pose_source=lambda: next(calls)())
+    finally:
+        reader.close()
+        writer.close()
+        unlink_region(region)
+    assert len(seen) == len(images) == len(script)
+    for image, (loop_tlas, oracle_tlas, oracle_pixels) in zip(images, seen):
+        assert loop_tlas == oracle_tlas
+        assert np.array_equal(image.pixels, oracle_pixels)
+    assert not np.array_equal(images[2].pixels, images[1].pixels)  # the camera moved
+    for i in (4, 5, 6):  # rejected or failed reads keep frame 3's poses
+        assert np.array_equal(images[i].pixels, images[3].pixels)
+    # recorded from the per-node pose path
+    assert stats.pose_warnings == 3
+    assert stats.unmatched_poses == 3
+    assert stats.pose_generations == [2, 10, 12, 14, 4]
 
 
 # ------------------------------------------------------------ config

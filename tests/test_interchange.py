@@ -33,6 +33,7 @@ from softrender.interchange import (
     NAME_BYTES,
     RECORD_SIZE,
     VERSION,
+    _decode_records,
     attach_table,
     create_table,
     physics_stub_step,
@@ -303,6 +304,29 @@ def test_non_utf8_name_is_incompatible(region_name):
     finally:
         reader.close()
         writer.close()
+
+
+def test_reader_snapshots_equal_a_full_decode_of_their_bytes(region_name):
+    # the reader decodes the roster once and then only the matrices
+    names = ["alpha", "b\u00e9ta", "n2", "n3"]
+    writer = create_table(region_name, names)
+    reader = attach_table(region_name)
+    try:
+        taken = []
+        for tick in range(5):
+            writer.write_frame(physics_stub_step(3 * tick, names))
+            raw = writer.path.read_bytes()[HEADER_SIZE:]
+            taken.append((reader.read_frame(), _decode_records(raw, len(names))))
+    finally:
+        reader.close()
+        writer.close()
+    for snap, want in taken:  # later writes left earlier snapshots alone
+        assert [n for n, _ in snap.entries] == [n for n, _ in want] == names
+        for (_, got), (_, mat) in zip(snap.entries, want):
+            assert got.dtype == mat.dtype == np.float64
+            assert got.tobytes() == mat.tobytes()
+    assert all(snap.names is taken[0][0].names for snap, _ in taken)
+    assert len({snap.generation for snap, _ in taken}) == 5
 
 
 # ------------------------------------------------- record properties

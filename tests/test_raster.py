@@ -27,7 +27,7 @@ from softrender.raster import (
     _interpolate,
     _raster_band,
     _TriangleBatch,
-    build_draw_list,
+    build_draws,
     camera_matrices,
     main_pass,
     select_camera,
@@ -182,10 +182,10 @@ def test_draw_list_sorted_by_material_then_segment():
         verts = [[i - 2.0, -0.5, -3], [i - 1.5, -0.5, -3], [i - 1.75, 0.5, -3]]
         tris.append((verts, [0, 0, 1], mid))
     scene = build_scene(tris, mats)
-    draws = build_draw_list(scene)
-    keys = [d.sort_key for d in draws]
+    draws = build_draws(scene)
+    keys = list(zip(draws.material.tolist(), draws.geometry.tolist(), draws.node_names))
     assert keys == sorted(keys)
-    mat_ids = [d.material_id for d in draws]
+    mat_ids = draws.material.tolist()
     switches = sum(1 for a, b in zip(mat_ids, mat_ids[1:]) if a != b)
     assert switches <= len(set(mat_ids)) - 1 + 1
 
@@ -196,8 +196,8 @@ def test_draw_order_between_equal_keys_is_name_stable():
     scene = build_scene([(verts, [0, 0, 1], 0), (verts, [0, 0, 1], 0)], mats)
     # two nodes sharing one geometry and material: equal keys up to the name
     scene.nodes[1].mesh_instance = (0, 0)
-    draws = build_draw_list(scene)
-    same_key = [d.node_name for d in draws if d.geometry_id == 0]
+    draws = build_draws(scene)
+    same_key = [name for name, gid in zip(draws.node_names, draws.geometry) if gid == 0]
     assert same_key == sorted(same_key)
 
 
@@ -464,7 +464,7 @@ def test_near_clip_corpus_matches_pinned_sha256(bench_gltf):
                                                    frustum_culling=frustum))
                 digest.update(fb.color.tobytes())
                 digest.update(fb.depth.tobytes())
-                batch = _geometry_stage(scene, build_draw_list(scene), view, proj, 64, 48,
+                batch = _geometry_stage(scene, build_draws(scene), view, proj, 64, 48,
                                         frustum, backface)
                 for arr in (batch.xy, batch.z, batch.iw, batch.wpos_iw, batch.wnrm_iw,
                             batch.material):
@@ -531,7 +531,7 @@ def test_world_normals_stay_perpendicular_under_nonuniform_scale():
     m = translate(0.2, -0.1, -5.0) @ scale(2.0, 1.0, 0.5) @ rotate_y(0.4)
     scene.world["t0"] = m
     view, proj, _ = camera_matrices(scene, select_camera(scene), 64, 64)
-    batch = _geometry_stage(scene, build_draw_list(scene), view, proj, 64, 64, False, False)
+    batch = _geometry_stage(scene, build_draws(scene), view, proj, 64, 64, False, False)
     assert batch.count == 1
     iw = batch.iw[0][:, None]
     wpos, wnrm = batch.wpos_iw[0] / iw, batch.wnrm_iw[0] / iw
@@ -541,6 +541,26 @@ def test_world_normals_stay_perpendicular_under_nonuniform_scale():
         assert np.all(np.abs(edges @ unit) < 1e-12)
     tilted = m[:3, :3] @ normal
     assert np.max(np.abs(edges @ tilted)) / np.linalg.norm(tilted) > 0.1
+
+
+@pytest.mark.parametrize("backface", [False, True])
+def test_subnormal_area_triangle_is_dropped(backface):
+    """A triangle whose screen area2 is subnormal would divide its depth to
+    inf.  Near 0 the screen coordinates of a whole-pixel frame are
+    multiples of 2**-53 of its width, so this drives the stage with a
+    frame 2**-1020 wide: x = 0, 0 and 1e-323 (one ulp-nudged vertex),
+    area2 = +-2e-323."""
+    eye = np.eye(4)
+
+    def stage(x):  # ndc x of the third vertex; back faces have area2 < 0
+        verts = [[-1.0, -1.0, 0.5], [-1.0, 1.0, 0.5], [x, -1.0, 0.5]]
+        scene = build_scene([(verts[::-1] if backface else verts, [0, 0, 1], 0)],
+                            [gray_material()])
+        return _geometry_stage(scene, build_draws(scene), eye, eye, 2.0 ** -1020, 2.0,
+                               False, backface)
+
+    assert stage(-1.0 + 2.0 ** -52).count == 0  # screen x = 2**-1073
+    assert stage(0.0).count == 1  # screen x = 2**-1021: area2 = 2**-1020 is normal
 
 
 def test_singular_draw_transform_raises_naming_the_node():

@@ -178,6 +178,17 @@ def test_apply_copies_matrix_not_reference():
     assert scene.world["root"][0, 3] == 4.0
 
 
+def test_apply_name_given_twice_ends_at_its_last_matrix():
+    scene = chain_scene()
+    refresh_world_transforms(scene)
+    unmatched = apply_transform_table(scene, FakeSnapshot([("root", translate(1, 2, 3)),
+                                                           ("leaf", np.eye(4)),
+                                                           ("root", translate(4, 5, 6))]))
+    assert unmatched == 0
+    np.testing.assert_array_equal(scene.world["root"], translate(4, 5, 6))
+    np.testing.assert_array_equal(scene.world["leaf"], np.eye(4))
+
+
 @pytest.mark.parametrize("bad", [np.full((4, 4), np.inf), np.zeros((4, 4)), np.eye(3)],
                          ids=["non-finite", "singular", "wrong-size"])
 def test_apply_rejects_bad_matrix_before_writing_any(bad):
