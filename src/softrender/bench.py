@@ -43,9 +43,10 @@ class BenchRecord:
 
 def default_bench_config(width: int = 160, height: int = 120, workers: int = 1) -> RenderConfig:
     # shadows stay off: per-pixel occlusion queries would swamp the
-    # raster trend the series is meant to expose
+    # raster trend the series is meant to expose; one frame in flight, so
+    # each stage is timed alone, not overlapped with the next frame's
     return RenderConfig(width=width, height=height, msaa=4, fxaa=True, shadows=False,
-                        overlay=True, workers=workers, target_fps=0.0)
+                        overlay=True, workers=workers, target_fps=0.0, frames_in_flight=1)
 
 
 def _series(values) -> tuple[float, float]:

@@ -82,8 +82,12 @@ class LdrImage:
 
 
 def quantize_unit(values: np.ndarray) -> np.ndarray:
-    """[0, 1] floats to uint8 by round-half-up: floor(v * 255 + 0.5)."""
-    v = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
+    """[0, 1] float64 values to uint8 by round-half-up: floor(v * 255 + 0.5).
+
+    Works in place: values is clipped and scaled, so pass an array the
+    caller owns and no longer needs.
+    """
+    v = np.clip(values, 0.0, 1.0, out=values)
     v *= 255.0
     v += 0.5
     return np.floor(v, out=v).astype(np.uint8)

@@ -15,13 +15,29 @@ node set does not change within a loop, only the poses do.
 
 Frame order: flush slot queue -> apply external poses to the table ->
 rebuild TLAS from the table's mesh rows -> gather the draws' world
-matrices -> main pass -> resolve -> FXAA -> overlay -> write image ->
-record stage timings -> pace to the frame budget.
+matrices -> main pass -> display stage (resolve -> FXAA -> overlay ->
+write image -> record the image and stage timings) -> pace to the frame
+budget.
+
+With two frames in flight (RenderConfig.frames_in_flight = 2, the
+default) the display stage runs on one display thread.  Frame f's TLAS
+and main pass render into slot f % 2 on the calling thread, which then
+waits for frame f - 1's display stage to finish and hands frame f's
+target to the display thread; while that thread resolves, filters,
+overlays and writes frame f, the calling thread starts frame f + 1:
+pose read, on_frame, TLAS and main pass into the other slot.  At most
+one display stage is in flight.  That wait is the slot fence: frame
+f + 2 reuses slot f % 2, its framebuffer and its deletion queue, and
+starts only after frame f's display stage has finished, so a finalizer
+pushed in frame f still runs at the start of frame f + 2.  Display
+stages run in frame order, and the images, timings and files are the
+ones the serial loop (frames_in_flight = 1) makes.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -51,6 +67,11 @@ class RenderConfig:
     frustum_culling: bool = False
     backface_culling: bool = False
     target_fps: float = 0.0  # 0 = unpaced
+    # 2: a frame's display stage (resolve, FXAA, overlay, image write)
+    # runs on a display thread while the next frame's TLAS and main pass
+    # run; 1: every stage in turn on the calling thread, so each stage's
+    # timing is its cost alone
+    frames_in_flight: int = SLOT_COUNT
 
     def __post_init__(self):
         if self.msaa not in SAMPLE_POSITIONS:
@@ -61,6 +82,8 @@ class RenderConfig:
             raise ConfigurationError("workers must be >= 1")
         if self.target_fps < 0.0:
             raise ConfigurationError("target_fps must be >= 0")
+        if self.frames_in_flight not in range(1, SLOT_COUNT + 1):
+            raise ConfigurationError(f"frames_in_flight must be 1 or {SLOT_COUNT}")
 
 
 class DeletionQueue:
@@ -85,6 +108,16 @@ class DeletionQueue:
 
 @dataclass
 class FrameTiming:
+    """Per-frame stage wall times.
+
+    tlas_build_ms and main_pass_ms are timed on the calling thread;
+    post_process_ms (resolve + FXAA) and overlay_ms in the display stage.
+    With two frames in flight the display stage runs on the display
+    thread and overlaps the next frame's TLAS and main pass, so the four
+    do not add up to the frame period and each can include time spent
+    waiting for the interpreter lock.
+    """
+
     frame_index: int
     tlas_build_ms: float
     main_pass_ms: float
@@ -184,6 +217,10 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     scene.world shows the frame's poses then, and must not be written.
     With output_prefix set, every frame is also written to
     '{prefix}-frame-{index:04d}.{format}'.
+    With two frames in flight, an error in frame f's display stage (an
+    image write that fails, say) is raised at frame f + 1's slot fence,
+    after its main pass, or when the loop ends; no later frame starts,
+    and the display thread is gone when the error reaches the caller.
     """
     if not scene.world:
         refresh_world_transforms(scene)
@@ -201,66 +238,80 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     stats = FrameStats()
     images = []
     timings = []
-    loop_start = time.perf_counter()
 
-    for i in range(frames):
-        slot = resources.begin_frame(i)
-
-        if pose_source is not None:
-            try:
-                snapshot = pose_source()
-            except Exception:
-                stats.pose_warnings += 1
-            else:
-                try:
-                    stats.unmatched_poses += table.apply(snapshot)
-                except ValidationError:
-                    stats.pose_warnings += 1
-                else:
-                    stats.pose_generations.append(snapshot.generation)
-        if on_frame is not None:
-            on_frame(i, resources)
-
+    def display_stage(i, fb, eye, tlas_ms, main_ms):
         t0 = time.perf_counter()
-        world = table.matrices[rows]
-        tlas = build_tlas_arrays(blases, geometry, world,
-                                 table.inverses(rows), names, instance_ids, frame_index=i)
-        t1 = time.perf_counter()
-
-        draws = replace(draws, world=world[draws.order])
-        fb = resources.framebuffer(slot)
-        main_pass(scene, tlas, config, draws=draws, fb=fb)
-        t2 = time.perf_counter()
-
         image = resolve_msaa(fb)
         if config.fxaa:
             image = fxaa_pass(image)
-        t3 = time.perf_counter()
-
-        camera = select_camera(scene, config.camera)
-        eye = scene.world[camera.node][:3, 3]
+        t1 = time.perf_counter()
         image = overlay_pass(image, i, triangles, eye, enabled=config.overlay)
-        t4 = time.perf_counter()
-
+        t2 = time.perf_counter()
         if output_prefix is not None:
             write_image(image, frame_output_path(output_prefix, i, image_format),
                         image_format=image_format)
         images.append(image)
-        timings.append(FrameTiming(
-            frame_index=i,
-            tlas_build_ms=(t1 - t0) * 1000.0,
-            main_pass_ms=(t2 - t1) * 1000.0,
-            post_process_ms=(t3 - t2) * 1000.0,
-            overlay_ms=(t4 - t3) * 1000.0,
-        ))
-        stats.frames_rendered += 1
+        timings.append(FrameTiming(frame_index=i, tlas_build_ms=tlas_ms, main_pass_ms=main_ms,
+                                   post_process_ms=(t1 - t0) * 1000.0,
+                                   overlay_ms=(t2 - t1) * 1000.0))
 
-        if config.target_fps > 0.0:
-            deadline = loop_start + (i + 1) / config.target_fps
-            delay = deadline - time.perf_counter()
-            if delay > 0.0:
-                time.sleep(delay)
+    # no thread for a loop without frames: set-up stays what it was
+    display = (ThreadPoolExecutor(1, "softrender-display")
+               if frames and config.frames_in_flight > 1 else None)
+    in_flight = None  # the display stage of the previous frame
+    loop_start = time.perf_counter()
+    try:
+        for i in range(frames):
+            slot = resources.begin_frame(i)
+
+            if pose_source is not None:
+                try:
+                    snapshot = pose_source()
+                except Exception:
+                    stats.pose_warnings += 1
+                else:
+                    try:
+                        stats.unmatched_poses += table.apply(snapshot)
+                    except ValidationError:
+                        stats.pose_warnings += 1
+                    else:
+                        stats.pose_generations.append(snapshot.generation)
+            if on_frame is not None:
+                on_frame(i, resources)
+
+            t0 = time.perf_counter()
+            world = table.matrices[rows]
+            tlas = build_tlas_arrays(blases, geometry, world,
+                                     table.inverses(rows), names, instance_ids, frame_index=i)
+            t1 = time.perf_counter()
+
+            draws = replace(draws, world=world[draws.order])
+            fb = resources.framebuffer(slot)
+            main_pass(scene, tlas, config, draws=draws, fb=fb)
+            t2 = time.perf_counter()
+
+            # a copy: the next pose apply overwrites the table row under it
+            eye = scene.world[select_camera(scene, config.camera).node][:3, 3].copy()
+            stage = (i, fb, eye, (t1 - t0) * 1000.0, (t2 - t1) * 1000.0)
+            if display is None:
+                display_stage(*stage)
+            else:
+                if in_flight is not None:
+                    in_flight.result()  # the slot fence; raises what that stage raised
+                in_flight = display.submit(display_stage, *stage)
+
+            if config.target_fps > 0.0:
+                deadline = loop_start + (i + 1) / config.target_fps
+                delay = deadline - time.perf_counter()
+                if delay > 0.0:
+                    time.sleep(delay)
+        if in_flight is not None:
+            in_flight.result()
+    finally:
+        if display is not None:
+            display.shutdown()  # waits for a display stage still running
 
     resources.shutdown()
+    stats.frames_rendered = len(images)
     stats.finalizers_run = resources.finalizers_run
     return images, timings, stats

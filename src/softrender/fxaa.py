@@ -57,6 +57,7 @@ def fxaa_pass(image: LdrImage) -> LdrImage:
     cross_max = reduce(np.maximum, (n, s, west, e), c)
     contrast = cross_max - reduce(np.minimum, (n, s, west, e), c)
     active = contrast >= np.maximum(EDGE_MIN_CONTRAST, EDGE_RELATIVE * cross_max)
+    del cross_max
 
     # Sobel-style gradients: a strong vertical luma gradient means a
     # horizontal edge, so the blend partner is north or south, else west
@@ -68,12 +69,15 @@ def fxaa_pass(image: LdrImage) -> LdrImage:
     step = np.where(horizontal_edge, w, 1)  # flat-index offset to south or east
     center = np.arange(1, h - 1)[:, None] * w + np.arange(1, w - 1)
     partner = np.take(rgb.reshape(-1, 3), center + np.where(north_or_west, -step, step), axis=0)
+    del step, center
 
     factor = np.zeros_like(c)
     np.divide(np.abs((n + s + west + e) * 0.25 - c), contrast, out=factor, where=active)
     factor = np.minimum(factor, BLEND_CAP)[..., None]
     partner *= factor
-    partner += rgb[1:-1, 1:-1] * (1.0 - factor)
+    rest = rgb[1:-1, 1:-1]  # blended in place: rgb is this pass's own copy
+    rest *= 1.0 - factor
+    partner += rest
 
     out = image.pixels.copy()
     out[1:-1, 1:-1] = quantize_unit(partner)

@@ -36,6 +36,7 @@ import mmap
 import os
 import struct
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -301,13 +302,16 @@ def stub_writer_loop(region_name: str, node_names, tick_hz: float, stop_event,
                      crash_after_ticks: int | None = None) -> None:
     """Writer process body: publish stub poses at tick_hz until stopped.
 
+    Tick k is published at t0 + k / tick_hz on an absolute schedule: the
+    writer waits only for what is left of the period after its own work,
+    and a tick that is late is published at once.
     A clean stop unlinks the region (the writer owns its lifetime).
     crash_after_ticks instead simulates a physics crash by exiting hard
     with no cleanup, leaving the file behind at its last stable frame.
     """
     writer = create_table(region_name, node_names)
-    period = 1.0 / tick_hz if tick_hz > 0 else 0.0
     tick = 0
+    t0 = time.monotonic()
     try:
         while not stop_event.is_set():
             writer.write_frame(physics_stub_step(tick, node_names))
@@ -316,7 +320,9 @@ def stub_writer_loop(region_name: str, node_names, tick_hz: float, stop_event,
                 os._exit(3)
             if max_ticks is not None and tick >= max_ticks:
                 break
-            if period > 0.0:
-                stop_event.wait(period)
+            if tick_hz > 0:
+                delay = t0 + tick / tick_hz - time.monotonic()
+                if delay > 0.0:
+                    stop_event.wait(delay)
     finally:
         writer.close(unlink=True)

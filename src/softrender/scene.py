@@ -239,6 +239,9 @@ class WorldTable:
     (a reader's roster) must not change after it is applied.
     The table keeps the inverse of every row whose pose came with a
     checked inverse and computes the others only when asked for them.
+    A snapshot with the last applied names list and matrices byte for byte
+    equal to the last applied ones (a reader that saw no new generation)
+    is not checked or written again.
     """
 
     def __init__(self, scene: Scene):
@@ -249,10 +252,14 @@ class WorldTable:
         self._inverses = np.empty_like(self.matrices)
         self._inverted = np.zeros(len(self.matrices), dtype=bool)
         self._roster = (None, None, None, 0)  # names, source entries, their rows, unmatched
+        self._applied = b""  # the bytes of the last matrices applied under that names list
 
     def apply(self, snapshot) -> int:
         """apply_transform_table on the table; see there."""
         names, mats = _snapshot_arrays(snapshot)
+        raw = mats.tobytes()  # bytes, not values: -0.0 for 0.0 is a change
+        if names is self._roster[0] and raw == self._applied:
+            return self._roster[3]
         inverses = check_invertible(names, mats, "pose snapshot entry")
         if names is not self._roster[0]:  # a reader's snapshots share one roster list
             rows = np.fromiter((self.rows.get(n, -1) for n in names), np.int64, len(names))
@@ -265,6 +272,7 @@ class WorldTable:
         self.matrices[rows] = mats[source]
         self._inverses[rows] = inverses[source]
         self._inverted[rows] = True
+        self._applied = raw
         return unmatched
 
     def inverses(self, rows: np.ndarray) -> np.ndarray:

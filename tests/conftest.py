@@ -1,10 +1,24 @@
-"""Shared fixtures: repo paths and the checked-in scene assets."""
+"""Shared fixtures: repo paths, the checked-in scene assets, and a check
+that no test leaves a thread running."""
 
+import threading
 from pathlib import Path
 
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a new non-daemon thread alive, such as a frame
+    loop's display thread: such a thread keeps the process from exiting."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate()
+            if t not in before and not t.daemon and t.is_alive()]
+    if left:
+        pytest.fail(f"test left threads running: {left}")
 
 
 @pytest.fixture(scope="session")

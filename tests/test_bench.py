@@ -94,3 +94,4 @@ def test_default_config_shape():
     assert cfg.shadows is False
     assert cfg.overlay is True
     assert cfg.target_fps == 0.0  # benchmark frames are never paced
+    assert cfg.frames_in_flight == 1  # stages are timed one at a time

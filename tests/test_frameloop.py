@@ -1,6 +1,7 @@
 """Frame-loop lifecycle tests: deletion queues, slot cycling, pose
 application order, timing records, and output determinism."""
 
+import threading
 import uuid
 from dataclasses import dataclass
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from softrender import frameloop
+from softrender import scene as scene_module
 from softrender.accel import build_tlas, serialize_tlas
 from softrender.errors import ConfigurationError
 from softrender.framebuffer import ppm_bytes, read_ppm, resolve_msaa
@@ -330,6 +332,147 @@ def test_every_frame_matches_an_oracle_render_of_scene_world(monkeypatch):
     assert stats.pose_generations == [2, 10, 12, 14, 4]
 
 
+def test_unchanged_region_generation_is_checked_once():
+    """Two reads of one region generation: the second apply is skipped, and
+    both frames show the same pose and record the generation."""
+    scene = make_bench_scene()
+    roster = [n.name for n in scene.mesh_nodes()] + ["benchcam"]
+    region = f"test-loop-{uuid.uuid4().hex[:12]}"
+    writer = create_table(region, roster)
+    reader = attach_table(region)
+    checked = []
+    real_check = scene_module.check_invertible
+
+    def spy(*args):
+        checked.append(args[0])
+        return real_check(*args)
+
+    try:
+        writer.write_frame([(name, translate(0.1 * k, 0.2, 0.0) @ rotate_y(0.3 * k))
+                            for k, name in enumerate(roster)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scene_module, "check_invertible", spy)
+            images, _, stats = run_frame_loop(scene, small_config(overlay=True),
+                                              frames=2, pose_source=reader.read_frame)
+    finally:
+        reader.close()
+        writer.close()
+        unlink_region(region)
+    assert len(checked) == 1
+    assert ppm_bytes(images[0]) == ppm_bytes(images[1])
+    assert stats.pose_generations == [2, 2]
+    assert stats.unmatched_poses == 0
+
+
+# ------------------------------------------------------ frames in flight
+
+def moving_camera_poses():
+    """A posed bench scene's camera and one mesh move every frame."""
+    calls = iter(range(1 << 20))
+
+    def poses():
+        i = next(calls)
+        return FakeSnapshot([("benchcam", translate(0.2 * i, 1.0, 9.0 - 0.3 * i) @ rotate_x(-0.1)),
+                             ("cube.a", translate(0.3 * i, 0.2, 0.0) @ rotate_y(0.4 * i))],
+                            generation=2 * i)
+    return poses
+
+
+def test_frames_in_flight_give_the_serial_images_and_files(tmp_path, monkeypatch):
+    """With two in flight, frame f's FXAA is held until frame f + 1 has applied
+    its poses, so its overlay runs after the camera's table row moved on."""
+    frames = 7
+    started = [threading.Event() for _ in range(frames + 1)]
+    started[frames].set()
+    real_fxaa = frameloop.fxaa_pass
+
+    def lagging_fxaa(image):
+        assert started[len(lagged) + 1].wait(timeout=10.0)
+        lagged.append(1)
+        return real_fxaa(image)
+
+    out = {}
+    for in_flight in (1, 2):
+        lagged = []
+        if in_flight == 2:
+            monkeypatch.setattr(frameloop, "fxaa_pass", lagging_fxaa)
+        # wide enough for the stats line's camera position
+        cfg = small_config(width=264, height=32, msaa=4, fxaa=True, shadows=True,
+                           overlay=True, frames_in_flight=in_flight)
+        prefix = tmp_path / f"inflight{in_flight}"
+        images, timings, stats = run_frame_loop(make_bench_scene(), cfg, frames=frames,
+                                                pose_source=moving_camera_poses(),
+                                                on_frame=lambda i, _: started[i].set(),
+                                                output_prefix=str(prefix))
+        files = [frame_output_path(prefix, i).read_bytes() for i in range(frames)]
+        assert files == [ppm_bytes(im) for im in images]
+        assert [t.frame_index for t in timings] == list(range(frames))
+        assert stats.frames_rendered == frames
+        out[in_flight] = files
+    assert len(lagged) == frames
+    assert out[1] == out[2]
+    assert len(set(out[2])) == frames  # the camera moved every frame
+
+
+def display_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("softrender-display")]
+
+
+def test_display_stage_error_stops_the_loop(monkeypatch, tmp_path):
+    real_write = frameloop.write_image
+
+    def write_image(image, path, **kwargs):
+        if path == frame_output_path(tmp_path / "seq", 2):
+            raise OSError("simulated full disk")
+        return real_write(image, path, **kwargs)
+
+    started = []
+    monkeypatch.setattr(frameloop, "write_image", write_image)
+    with pytest.raises(OSError, match="simulated full disk"):
+        run_frame_loop(make_triangle_scene(), small_config(), frames=8,
+                       output_prefix=str(tmp_path / "seq"),
+                       on_frame=lambda i, resources: started.append(i))
+    assert started == [0, 1, 2, 3]  # frame 2's error surfaces at frame 3's fence
+    assert display_threads() == []
+
+
+def test_zero_frame_loop_starts_no_thread(monkeypatch):
+    def no_executor(*args, **kwargs):
+        raise AssertionError("a zero-frame loop created an executor")
+
+    monkeypatch.setattr(frameloop, "ThreadPoolExecutor", no_executor)
+    before = threading.active_count()
+    images, timings, _ = run_frame_loop(make_shadow_scene(), small_config(), frames=0)
+    assert images == timings == []
+    assert threading.active_count() == before
+
+
+def test_finalizer_runs_two_frames_later_after_that_frames_display_stage(monkeypatch):
+    """A frame's timing record is made after its image joins the returned
+    list, so a recorded frame index means its display stage is done."""
+    recorded = []
+
+    class SpyTiming(frameloop.FrameTiming):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            recorded.append(self.frame_index)
+
+    monkeypatch.setattr(frameloop, "FrameTiming", SpyTiming)
+    flushed = {}
+
+    def hook(i, resources):
+        resources.slot_queues[resources.slot(i)].push(
+            lambda: flushed.__setitem__(i, (resources.current_frame, list(recorded))))
+
+    images, _, _ = run_frame_loop(make_shadow_scene(), small_config(fxaa=True, overlay=True),
+                                  frames=6, on_frame=hook)
+    assert len(images) == 6
+    for f in range(4):
+        at_frame, done = flushed[f]
+        assert at_frame == f + 2
+        assert f in done
+
+
 # ------------------------------------------------------------ config
 
 def test_render_config_validation():
@@ -343,6 +486,11 @@ def test_render_config_validation():
         RenderConfig(workers=0)
     with pytest.raises(ConfigurationError):
         RenderConfig(target_fps=-1.0)
+    for frames_in_flight in (0, 3, -1):
+        with pytest.raises(ConfigurationError):
+            RenderConfig(frames_in_flight=frames_in_flight)
+    assert RenderConfig().frames_in_flight == 2
+    RenderConfig(frames_in_flight=1)
     for msaa in (1, 2, 4, 8):
         RenderConfig(msaa=msaa)
 

@@ -6,6 +6,7 @@ its own, so it blends 25% toward the opposite side (0 -> 64, 255 -> 191).
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 
@@ -153,3 +154,17 @@ def test_fxaa_corpus_matches_pinned_sha256(render_targets):
         digest.update(np.array(pixels.shape).tobytes())
         digest.update(pixels.tobytes())
     assert digest.hexdigest() == PINNED_FXAA_SHA256
+
+
+def test_fxaa_traced_peak_is_at_most_four_float_frames():
+    """With frames in flight this pass's working set coexists with the next
+    frame's main pass, so it blends in place on its own float copy."""
+    h, w = 240, 320
+    image = LdrImage(pixels=slanted_edge(h, w, np.random.default_rng(4)))
+    tracemalloc.start()
+    try:
+        fxaa_pass(image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * h * w * 3 * np.dtype(np.float64).itemsize, peak

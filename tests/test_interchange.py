@@ -26,6 +26,7 @@ from softrender.errors import (
     RegionError,
     ValidationError,
 )
+from softrender import interchange
 from softrender.interchange import (
     GENERATION_OFFSET,
     HEADER_SIZE,
@@ -440,6 +441,47 @@ def test_stub_writer_loop_publishes_and_unlinks(region_name):
         stop.set()
         t.join(timeout=5.0)
     assert not region_path(region_name).exists()  # clean stop unlinks
+
+
+def test_stub_writer_loop_publishes_on_an_absolute_schedule(region_name, monkeypatch):
+    """At 4 Hz, publish k is due at t0 + k / 4: a fake clock advances by each
+    tick's work and by each wait, so no real time is slept or timed.  A
+    writer that waited a full period after each publish would wait
+    [0.25] * 6; a late tick (0.5 s of work) is followed by no wait."""
+    class Clock:
+        now = 8.0
+
+        def monotonic(self):
+            return self.now
+
+    class StopEvent:
+        def __init__(self):
+            self.timeouts = []
+
+        def is_set(self):
+            return False
+
+        def wait(self, timeout):
+            self.timeouts.append(timeout)
+            clock.now += timeout
+            return False
+
+    clock = Clock()
+    work = iter([0.125, 0.125, 0.5, 0.125, 0.125, 0.125, 0.125])
+    published = []
+    real_step = interchange.physics_stub_step
+
+    def step(tick, names):
+        clock.now += next(work)
+        published.append(clock.now)
+        return real_step(tick, names)
+
+    monkeypatch.setattr(interchange, "time", clock)
+    monkeypatch.setattr(interchange, "physics_stub_step", step)
+    stop = StopEvent()
+    stub_writer_loop(region_name, ["a", "b"], 4.0, stop, max_ticks=7)
+    assert stop.timeouts == [0.125, 0.125, 0.125]
+    assert published == [8.125, 8.375, 9.0, 9.125, 9.25, 9.375, 9.625]
 
 
 def test_writer_crash_leaves_last_stable_frame(region_name):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from softrender import scene as scene_module
 from softrender.errors import SceneError, ValidationError
+from softrender.interchange import TransformSnapshot
 from softrender.linalg import rotate_x, rotate_y, rotate_z, translate
 from softrender.procedural import (
     cube_geometry,
@@ -20,6 +22,7 @@ from softrender.scene import (
     MeshGeometry,
     Scene,
     SceneNode,
+    WorldTable,
     apply_transform_table,
     compute_world_transforms,
     duplicate_scene_geometry,
@@ -200,6 +203,40 @@ def test_apply_rejects_bad_matrix_before_writing_any(bad):
                                                    ("leaf", bad)]))
     for name, mat in before.items():
         np.testing.assert_array_equal(scene.world[name], mat)
+
+
+def test_unchanged_roster_snapshot_is_not_checked_again(monkeypatch):
+    """Same names list and the same matrix bytes: no check, no write, the same
+    unmatched count.  -0.0 for 0.0 and a NaN are byte changes."""
+    scene = chain_scene()
+    refresh_world_transforms(scene)
+    table = WorldTable(scene)
+    checked = []
+    real_check = scene_module.check_invertible
+    monkeypatch.setattr(scene_module, "check_invertible",
+                        lambda *args: checked.append(1) or real_check(*args))
+    roster = ["leaf", "phantom"]
+    mats = np.stack([translate(0.0, 1.0, 0.0), np.eye(4)])
+    signed_zero = mats.copy()
+    signed_zero[0, 0, 1] = -0.0
+    nan = mats.copy()
+    nan[0, 0, 1] = np.nan
+
+    def apply(m, names=roster):
+        return table.apply(TransformSnapshot(generation=2, names=names, matrices=m))
+
+    assert [apply(mats), apply(mats.copy())] == [1, 1]
+    assert len(checked) == 1
+    assert apply(mats.copy(), names=list(roster)) == 1  # another list: checked
+    assert apply(signed_zero) == 1
+    assert len(checked) == 3
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            apply(nan)
+    assert len(checked) == 5
+    assert apply(signed_zero) == 1  # still the last one applied
+    assert len(checked) == 5
+    np.testing.assert_array_equal(scene.world["leaf"], signed_zero[0])
 
 
 # ------------------------------------------------------- duplication
