@@ -1,25 +1,20 @@
 """Two-level bounding volume hierarchy for ray queries.
 
-A Blas (bottom level) is built once per geometry over object-space
-triangles with a binned surface-area heuristic, whose split search
-sweeps every (axis, bin) at once; the build splits one node at a time.
-A Tlas (top level) is rebuilt from scratch every frame over the
-world-space boxes of the instances, working on instance arrays: one
-corner transform gives every world box, the inverses come from the
-caller (the frame loop reuses those its pose check computed; build_tlas
-makes them in one batched inversion), and the level-synchronous build
-splits every node of one depth in one array step.  It returns the
-per-node build's arrays bit for bit, and that build stays the reference
-tests compare it against.  The BLAS
-keeps the per-node build because it runs once per geometry at set-up on
-trees that are nearly chains, where a level step costs more than the
-one node it splits.  Queries run in batches: rays
-walk each level as a frontier of (ray, node) pairs, every (ray, instance)
-pair moves into that instance's object space (so t stays in world
-units), and Moller-Trumbore runs over all (ray, triangle) pairs at once.
-shadow_mask tests a batch of points; ray_closest_hit, ray_any_hit and
-shadow_visibility are batches of one.  One pre-order walk serves
-compaction and the debug dumps.
+Both levels come from one binned surface-area-heuristic build that
+splits every node of one tree depth in one array step.  A Blas (bottom
+level) is built once per geometry over object-space triangles; a
+geometry without triangles gets one empty leaf, and its instances are
+left out of the top level.  A Tlas (top level) is rebuilt from scratch
+every frame over the world-space boxes of the instances, working on
+instance arrays: one corner transform gives every world box, and the
+inverses come from the caller (the frame loop reuses those its pose
+check computed; build_tlas makes them in one batched inversion).
+Queries run in batches: rays walk each level as a frontier of (ray,
+node) pairs, every (ray, instance) pair moves into that instance's
+object space (so t stays in world units), and Moller-Trumbore runs over
+all (ray, triangle) pairs at once.  shadow_mask tests a batch of points;
+ray_closest_hit, ray_any_hit and shadow_visibility are batches of one.
+One pre-order walk serves compaction and the debug dumps.
 
 Conventions that tests rely on:
   - Intersection uses the Moller-Trumbore form with determinant cutoff
@@ -46,12 +41,17 @@ LEAF_MAX_TRIS = 4
 LEAF_MAX_INSTANCES = 2
 # corner c of a box takes hi on axis k where bit (2 - k) of c is set
 _CORNER_IS_HI = ((np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1).astype(bool)
+_AXES = np.arange(3)
+_COLUMNS = np.arange(12)
+# the (axis, bin) of each of a node's axis-major split costs
+_SPLIT_AXIS, _SPLIT_BIN = np.divmod(np.arange(3 * (SAH_BINS - 1)), SAH_BINS - 1)
 
 
-def _surface_area(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Surface area of boxes along the last axis; an inverted box has 0."""
-    d = np.maximum(hi - lo, 0.0)
-    return 2.0 * (d[..., 0] * d[..., 1] + d[..., 1] * d[..., 2] + d[..., 2] * d[..., 0])
+def _surface_area(extent: np.ndarray) -> np.ndarray:
+    """Surface area of boxes whose x, y, z extents run along the first axis;
+    a negative extent counts as 0, so an inverted box has 0."""
+    d = np.maximum(extent, 0.0)
+    return 2.0 * (d[0] * d[1] + d[1] * d[2] + d[2] * d[0])
 
 
 @dataclass
@@ -70,7 +70,7 @@ class Aabb:
         return bool(np.all(other.lo >= self.lo - eps) and np.all(other.hi <= self.hi + eps))
 
     def surface_area(self) -> float:
-        return float(_surface_area(self.lo, self.hi))
+        return float(_surface_area(self.hi - self.lo))
 
     def corners(self) -> np.ndarray:
         """(8, 3) corner points."""
@@ -99,248 +99,140 @@ class Hit:
 
 
 # ---------------------------------------------------------------------------
-# Generic binned-SAH builder over a set of leaf element boxes.
+# Binned-SAH builder over a set of leaf element boxes, one tree depth per step.
 
-def _build_bvh(box_lo: np.ndarray, box_hi: np.ndarray, leaf_max: int):
-    """Build node arrays over n element boxes.
+def _min_at(size: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(size,) np.minimum of the values at each flat index; inf where none.
+
+    Values fold in input order, so a tie between 0.0 and -0.0 keeps the
+    later one, as a sequential .min(axis=0) over the same rows does.
+    """
+    table = np.empty(size)
+    table.fill(np.inf)
+    np.minimum.at(table, index.ravel(), values.ravel())
+    return table
+
+
+def _build_bvh_levels(box_lo: np.ndarray, box_hi: np.ndarray, leaf_max: int):
+    """Build node arrays over n element boxes, one tree depth at a time.
 
     Returns (node_lo, node_hi, left, right, start, count, order) where
     internal nodes have left/right child indices (start = -1) and leaves
     have a [start, start+count) range into the order permutation.
     Splits use a 16-bin surface-area heuristic on each axis with a
     median fallback, so leaves never exceed leaf_max elements.
-    """
-    n = len(box_lo)
-    centroids = (box_lo + box_hi) * 0.5
-    order = np.arange(n, dtype=np.int64)
-
-    nodes_lo, nodes_hi = [], []
-    nodes_left, nodes_right = [], []
-    nodes_start, nodes_count = [], []
-
-    def alloc() -> int:
-        nodes_lo.append(None)
-        nodes_hi.append(None)
-        nodes_left.append(-1)
-        nodes_right.append(-1)
-        nodes_start.append(-1)
-        nodes_count.append(0)
-        return len(nodes_lo) - 1
-
-    # Stack entries: (node index, slice start, slice end).
-    root = alloc()
-    stack = [(root, 0, n)]
-    while stack:
-        ni, s, e = stack.pop()
-        idx = order[s:e]
-        lo = box_lo[idx].min(axis=0)
-        hi = box_hi[idx].max(axis=0)
-        nodes_lo[ni] = lo
-        nodes_hi[ni] = hi
-        count = e - s
-        if count <= leaf_max:
-            nodes_start[ni] = s
-            nodes_count[ni] = count
-            continue
-
-        split = _sah_split(box_lo[idx], box_hi[idx], centroids[idx])
-        if split is None:
-            # degenerate spread: median split keeps the tree balanced
-            half = count // 2
-            left_mask = np.zeros(count, dtype=bool)
-            left_mask[np.argsort(centroids[idx][:, int(np.argmax(hi - lo))],
-                                 kind="stable")[:half]] = True
-        else:
-            left_mask = split
-        left_idx = idx[left_mask]
-        right_idx = idx[~left_mask]
-        order[s:s + len(left_idx)] = left_idx
-        order[s + len(left_idx):e] = right_idx
-
-        li = alloc()
-        ri = alloc()
-        nodes_left[ni] = li
-        nodes_right[ni] = ri
-        stack.append((ri, s + len(left_idx), e))
-        stack.append((li, s, s + len(left_idx)))
-
-    return (
-        np.array(nodes_lo, dtype=np.float64),
-        np.array(nodes_hi, dtype=np.float64),
-        np.array(nodes_left, dtype=np.int32),
-        np.array(nodes_right, dtype=np.int32),
-        np.array(nodes_start, dtype=np.int32),
-        np.array(nodes_count, dtype=np.int32),
-        order,
-    )
-
-
-def _sah_split(lo: np.ndarray, hi: np.ndarray, centroids: np.ndarray):
-    """Best 16-bin SAH split over all three axes, or None if no axis works.
-
-    Ties resolve to the lower axis then the lower bin, so the partition
-    is a pure function of the input boxes.
-    """
-    cmin = centroids.min(axis=0)
-    bins = _bin_index(centroids, cmin, centroids.max(axis=0) - cmin)  # (n, axis)
-    key = (bins * 3 + np.arange(3)).ravel()  # (bin, axis)
-    table = _min_at(SAH_BINS * 3, key, np.repeat(np.concatenate([lo, -hi], axis=1), 3, axis=0))
-    bin_n = np.bincount(key, minlength=SAH_BINS * 3).reshape(SAH_BINS, 3)
-    table = table.reshape(SAH_BINS, 3, 6)
-    cost = _sah_cost(np.minimum.accumulate(table, axis=0),
-                     np.minimum.accumulate(table[::-1], axis=0)[::-1], bin_n, len(lo)).T
-    best = int(np.argmin(cost))  # first minimum in axis-major order
-    if not cost.flat[best] < np.inf:
-        return None
-    axis, b = divmod(best, SAH_BINS - 1)
-    return bins[:, axis] <= b
-
-
-def _bin_index(centroids, cmin, extent):
-    """SAH bin of each centroid on each axis, given its node's centroid bounds."""
-    # a zero-extent axis bins everything at 0, so all its right sides are empty
-    rel = (centroids - cmin) / np.where(extent > 0.0, extent, 1.0)
-    return np.minimum((rel * SAH_BINS).astype(np.int64), SAH_BINS - 1)
-
-
-def _sah_cost(pre, suf, bin_n, count):
-    """(SAH_BINS - 1, ...) cost of splitting after each bin; inf where a side is empty.
-
-    pre[b] and suf[b] are the [lo, -hi] boxes of bins 0..b and of bins
-    b..SAH_BINS - 1, inf where those bins are empty; bin_n holds the
-    (SAH_BINS, ...) bin counts.  The cost after bin b is
-    area_L * n_L + area_R * n_R.
-    """
-    nl = np.cumsum(bin_n, axis=0)[:-1]
-    nr = count - nl
-    al = _surface_area(pre[:-1, ..., :3], -pre[:-1, ..., 3:])
-    ar = _surface_area(suf[1:, ..., :3], -suf[1:, ..., 3:])
-    return np.where((nl > 0) & (nr > 0), al * nl + ar * nr, np.inf)
-
-
-def _min_sweep(table):
-    """np.minimum.accumulate(table, axis=0), one whole-row step per bin.
-
-    numpy's accumulate walks each column on its own, which on a level's
-    (SAH_BINS, nodes, 3, 6) table is up to 20 times slower.
-    """
-    out = table.copy()
-    for b in range(1, len(out)):
-        np.minimum(out[b - 1], out[b], out=out[b])
-    return out
-
-
-def _min_at(rows: int, key: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(rows, C) column-wise np.minimum of the value rows that share a key; inf where none.
-
-    Rows fold in input order, so a tie between 0.0 and -0.0 keeps the
-    later one, as a sequential .min(axis=0) over the same rows does.
-    """
-    c = values.shape[1]
-    table = np.full(rows * c, np.inf)
-    np.minimum.at(table, (key[:, None] * c + np.arange(c)).ravel(), values.ravel())
-    return table.reshape(rows, c)
-
-
-def _build_bvh_levels(box_lo: np.ndarray, box_hi: np.ndarray, leaf_max: int):
-    """_build_bvh's exact result, built one tree depth at a time.
 
     Each step splits every node of one depth that holds more than leaf_max
-    elements: one np.minimum.at bins all their elements by (node, axis,
-    bin), the first minimum of each node's (axis, bin) costs picks its
-    split, and a stable sort on (node, side) partitions them all while
-    keeping the order boolean-mask indexing gives.  Every bound is a
-    minimum (a maximum is the minimum of the negated values) folded over
-    a node's elements in the per-node build's order, so it matches to the
-    bit, signed zeros included.  Nodes are numbered breadth first, then
-    renumbered: there, as here, the j-th internal node has children
-    2j + 1 and 2j + 2, but j counts internal nodes in pre-order there.
+    elements (_level_sides), and a stable sort on (node, side) partitions
+    them all.  Every bound is a minimum (a maximum is the minimum of the
+    negated values) folded over a node's elements in order, so it is the
+    bit-exact sequential .min of those elements, signed zeros included.
+    Nodes are numbered breadth first, then renumbered as a depth-first
+    build allocates them: the j-th internal node in pre-order has children
+    2j + 1 and 2j + 2.  tests/bvh_oracle.py holds that per-node build, the
+    reference this one matches bit for bit.
     """
     n = len(box_lo)
     centroids = (box_lo + box_hi) * 0.5
     # per element: [lo, -hi, centroid, -centroid], so a min gives every bound
     folded = np.concatenate([box_lo, -box_hi, centroids, -centroids], axis=1)
     order = np.arange(n, dtype=np.int64)
-    # the nodes of one depth: slice [start, end) of order, folded bounds, breadth-first id
-    start, end = np.zeros(1, np.int64), np.full(1, n, np.int64)
-    bounds = _min_at(1, np.zeros(n, np.int64), folded)
-    ids = np.zeros(1, np.int64)
-    starts, ends, boxes, splits = [start], [end], [bounds[:, :6]], [ids[:0]]
+    # the nodes of one depth: the [start, start + count) slice of order and the
+    # folded bounds of each (inf for no elements: the root of none is one empty
+    # leaf with an inverted box); first is the breadth-first id of the first
+    start, count, first = np.zeros(1, np.int64), np.full(1, n), 0
+    bounds = folded.min(axis=0, keepdims=True, initial=np.inf)
+    starts, counts, boxes, splits = [start], [count], [bounds], [start[:0]]
     while True:
-        split = end - start > leaf_max
-        start, end, bounds, ids = start[split], end[split], bounds[split], ids[split]
-        if not len(ids):
+        split = (count > leaf_max).nonzero()[0]
+        if not len(split):
             break
-        count = end - start
-        seg = np.repeat(np.arange(len(ids)), count)
-        pos = np.arange(len(seg)) + np.repeat(start - (np.cumsum(count) - count), count)
+        splits.append(split + first)
+        first += len(count)
+        start, count, bounds = start[split], count[split], bounds[split]
+        seg = np.arange(len(count)).repeat(count)  # each element's node
+        pos = np.arange(len(seg)) + (start - count.cumsum() + count).repeat(count)
         idx = order[pos]
-        right = _level_sides(folded[idx], seg, count, bounds)
-        child = seg * 2 + right
-        sort = np.argsort(child, kind="stable")
-        order[pos] = idx = idx[sort]
-        mid = end - np.bincount(seg[right], minlength=len(ids))
-        bounds = _min_at(2 * len(ids), child[sort], folded[idx])
-        first = 2 * sum(map(len, splits)) + 1  # breadth-first id of this level's first child
-        splits.append(ids)
-        ids = first + np.arange(2 * len(ids))
-        start, end = np.stack([start, mid], axis=1).ravel(), np.stack([mid, end], axis=1).ravel()
+        f = folded[idx]
+        child = seg * 2 + _level_sides(f, centroids[idx], seg, count, bounds)
+        order[pos] = idx[child.argsort(kind="stable")]
+        # each child's elements, in order
+        bounds = _min_at(24 * len(count), child[:, None] * 12 + _COLUMNS, f).reshape(-1, 12)
+        count = np.bincount(child, minlength=2 * len(count))  # no side is empty
+        start = start.repeat(2)
+        start[1::2] += count[::2]
         starts.append(start)
-        ends.append(end)
-        boxes.append(bounds[:, :6])
+        counts.append(count)
+        boxes.append(bounds)
 
-    start, end, box = np.concatenate(starts), np.concatenate(ends), np.concatenate(boxes)
-    depth = np.repeat(np.arange(len(starts)), list(map(len, starts)))
-    # in either order the j-th internal node's children are 2j + 1 and 2j + 2
-    inner = np.concatenate(splits)
-    left = np.full(len(start), -1, np.int64)
-    left[inner] = 2 * np.arange(len(inner)) + 1
-    preorder = np.lexsort((depth, start))  # a left child starts where its parent starts
-    first_child = left[preorder[left[preorder] >= 0]]
+    start, count, box = np.concatenate(starts), np.concatenate(counts), np.concatenate(boxes)
+    inner = np.concatenate(splits)  # breadth first, so the k-th has children 2k + 1, 2k + 2
+    # pre-order sorts by (start, depth), and breadth-first ids already rise with depth
     number = np.zeros(len(start), np.int64)  # the per-node build's index of each node
-    number[first_child] = 2 * np.arange(len(first_child)) + 1
-    number[first_child + 1] = number[first_child] + 1
-    node = np.argsort(number)
-    inner, kid = left[node] >= 0, number[left[node]]
-    return (box[node, :3], -box[node, 3:],
-            np.where(inner, kid, -1).astype(np.int32),
-            np.where(inner, kid + 1, -1).astype(np.int32),
-            np.where(inner, -1, start[node]).astype(np.int32),
-            np.where(inner, 0, end[node] - start[node]).astype(np.int32),
+    number[1:].reshape(-1, 2)[start[inner].argsort(kind="stable")] = \
+        np.arange(1, len(start)).reshape(-1, 2)
+    left, right = np.full((2, len(start)), -1, np.int32)
+    left[number[inner]] = number[1::2]
+    right[number[inner]] = number[2::2]
+    node = number.argsort()
+    leaf = left < 0
+    return (box[node, :3], -box[node, 3:6], left, right,
+            np.where(leaf, start[node], -1).astype(np.int32),
+            np.where(leaf, count[node], 0).astype(np.int32),
             order)
 
 
-def _level_sides(folded, seg, count, bounds):
+def _level_sides(folded, centroids, seg, count, bounds):
     """True for the elements that go right when every node of a level splits.
 
-    folded holds each element's [lo, -hi, centroid, -centroid], seg its
-    node, count and bounds each node's size and folded minimum.
+    folded and centroids hold each element's [lo, -hi, centroid, -centroid]
+    and centroid, seg its node, count and bounds each node's size and
+    folded minimum.  Each axis's centroid extent is cut into SAH_BINS bins,
+    and splitting after bin b costs area_L * n_L + area_R * n_R, inf where
+    a side is empty.  The first minimum in (axis, bin) order wins, so ties
+    go to the lower axis, then the lower bin.
     """
     nodes = len(count)
+    cells = 3 * nodes  # one per (node, axis)
     cmin = bounds[:, 6:9]
-    bins = _bin_index(folded[:, 6:9], cmin[seg], (-bounds[:, 9:] - cmin)[seg])
-    key = ((bins * nodes + seg[:, None]) * 3 + np.arange(3)).ravel()  # (bin, node, axis)
-    table = _min_at(SAH_BINS * nodes * 3, key, np.repeat(folded[:, :6], 3, axis=0))
-    bin_n = np.bincount(key, minlength=SAH_BINS * nodes * 3).reshape(SAH_BINS, nodes, 3)
-    table = table.reshape(SAH_BINS, nodes, 3, 6)
-    cost = _sah_cost(_min_sweep(table), _min_sweep(table[::-1])[::-1], bin_n, count[:, None])
-    cost = cost.transpose(1, 2, 0).reshape(nodes, -1)  # per node, axis-major
-    best = np.argmin(cost, axis=1)  # first minimum in axis-major order
-    axis, b = np.divmod(best, SAH_BINS - 1)
-    right = bins[np.arange(len(seg)), axis[seg]] > b[seg]
-    for j in np.flatnonzero(~(cost[np.arange(nodes), best] < np.inf)):
+    extent = -bounds[:, 9:] - cmin
+    # a zero-extent axis bins everything at 0, so all its right sides are empty
+    rel = (centroids - cmin[seg]) / np.where(extent > 0.0, extent, 1.0)[seg]
+    bins = np.minimum((rel * SAH_BINS).astype(np.int64), SAH_BINS - 1)
+    key = bins * cells + seg[:, None] * 3 + _AXES  # (bin, node, axis)
+    bin_n = np.bincount(key.ravel(), minlength=SAH_BINS * cells).reshape(SAH_BINS, cells)
+    table = _min_at(6 * SAH_BINS * cells, key[:, :, None] * 6 + _COLUMNS[:6],
+                    folded[:, :6].repeat(3, axis=0)).reshape(SAH_BINS, 1, cells, 6)
+    # one sweep makes the prefix boxes [:, 0], of bins 0..b, and the reversed
+    # suffix boxes [:, 1], of bins SAH_BINS - 1 - b..SAH_BINS - 1
+    swept = np.concatenate([table, table[::-1]], axis=1)
+    steps = list(swept)  # accumulate would walk each column on its own: slow on wide levels
+    for prev, step in zip(steps, steps[1:]):
+        np.minimum(prev, step, out=step)
+    # -(lo + -hi) is hi - lo but for the sign of a zero, which the area's clamp drops
+    box = swept[:-1].transpose(3, 1, 0, 2)  # (coordinate, side, bin, cell)
+    extent = np.add(box[:3], box[3:], out=np.empty((3, 2, SAH_BINS - 1, cells)))
+    area = _surface_area(np.negative(extent, out=extent))
+    nl = bin_n.cumsum(axis=0)[:-1]
+    nr = count.repeat(3) - nl
+    # split after bin b: left bins 0..b, right bins b + 1..SAH_BINS - 1
+    cost = np.where(nl * nr > 0, area[0] * nl + area[1, ::-1] * nr, np.inf)
+    cost = cost.reshape(SAH_BINS - 1, nodes, 3).transpose(1, 2, 0).reshape(nodes, -1)
+    best = cost.argmin(axis=1)  # first minimum in axis-major order
+    pick = best[seg]
+    right = bins[np.arange(len(seg)), _SPLIT_AXIS[pick]] > _SPLIT_BIN[pick]
+    for j in (~(cost.min(axis=1) < np.inf)).nonzero()[0]:
         # degenerate spread: median split keeps the tree balanced
-        rows = np.flatnonzero(seg == j)
-        extent = -bounds[j, 3:6] - bounds[j, :3]
+        rows = (seg == j).nonzero()[0]
+        axis = int(np.argmax(-bounds[j, 3:6] - bounds[j, :3]))
         right[rows] = True
-        right[rows[np.argsort(folded[rows, 6 + int(np.argmax(extent))],
-                              kind="stable")[:count[j] // 2]]] = False
+        right[rows[centroids[rows, axis].argsort(kind="stable")[:count[j] // 2]]] = False
     return right
 
 
 @dataclass
 class _Nodes:
-    """The node arrays _build_bvh returns, shared by both levels."""
+    """The node arrays _build_bvh_levels returns, shared by both levels."""
     node_lo: np.ndarray
     node_hi: np.ndarray
     node_left: np.ndarray
@@ -400,12 +292,13 @@ def build_blas(positions: np.ndarray, triangles: np.ndarray, geometry_id: int = 
     tri_lo = np.minimum(np.minimum(a, b), c)
     tri_hi = np.maximum(np.maximum(a, b), c)
 
-    *nodes, order = _build_bvh(tri_lo, tri_hi, LEAF_MAX_TRIS)
+    *nodes, order = _build_bvh_levels(tri_lo, tri_hi, LEAF_MAX_TRIS)
+    v0 = a[order]
     return Blas(
         *nodes,
         geometry_id=geometry_id,
         tri_order=order,
-        v0=a[order], e1=b[order] - a[order], e2=c[order] - a[order],
+        v0=v0, e1=b[order] - v0, e2=c[order] - v0,
         compacted=False,
         scratch={"tri_lo": tri_lo, "tri_hi": tri_hi,
                  "centroids": (tri_lo + tri_hi) * 0.5},
@@ -504,7 +397,13 @@ def build_tlas_arrays(blases: list[Blas], blas_index: np.ndarray, transforms: np
     """build_tlas over K instances given as arrays: instance k is
     blases[blas_index[k]] at transforms[k], whose inverse the caller
     supplies.  The Tlas keeps the arrays it is given, so each call needs
-    its own transforms and inverses."""
+    its own transforms and inverses.  An instance of a BLAS without
+    triangles is left out, as if absent."""
+    kept = np.array([len(blas.tri_order) > 0 for blas in blases], dtype=bool)[blas_index]
+    if not kept.all():
+        return build_tlas_arrays(blases, blas_index[kept], transforms[kept], inv_transforms[kept],
+                                 [name for name, k in zip(node_names, kept) if k],
+                                 instance_ids[kept], frame_index)
     if not len(transforms):
         return Tlas(blases=[], blas_index=np.zeros(0, dtype=np.int64),
                     transforms=np.zeros((0, 4, 4)), inv_transforms=np.zeros((0, 4, 4)),

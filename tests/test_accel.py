@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bvh_oracle
+
 from softrender import accel
 from softrender.accel import (
     LEAF_MAX_INSTANCES,
@@ -180,6 +182,25 @@ def test_blas_every_node_reachable_exactly_once():
             stack.append(int(blas.node_left[ni]))
             stack.append(int(blas.node_right[ni]))
     assert np.all(seen == 1)
+
+
+def test_blas_without_triangles_is_one_empty_leaf_left_out_of_the_tlas():
+    empty = build_blas(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    assert (empty.node_start.tolist(), empty.node_count.tolist()) == ([0], [0])
+    assert np.all(empty.node_lo > empty.node_hi)  # inverted: it bounds nothing
+    pos = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    tri = build_blas(pos, np.array([[0, 1, 2]]))
+    tlas = build_tlas([TlasInstance(blas=empty, transform=np.eye(4), node_name="hollow",
+                                    instance_id=0),
+                       TlasInstance(blas=tri, transform=np.eye(4), node_name="tri",
+                                    instance_id=1)])
+    assert (tlas.instance_ids.tolist(), tlas.node_names) == ([1], ["tri"])
+    hit = ray_closest_hit(tlas, Ray(origin=[0.2, 0.2, 1.0], direction=[0.0, 0.0, -1.0]))
+    assert (hit.instance_id, hit.triangle_index) == (1, 0)
+    alone = build_tlas([TlasInstance(blas=empty, transform=np.eye(4), node_name="hollow",
+                                     instance_id=0)])
+    assert len(alone.instance_ids) == 0
+    assert shadow_visibility(alone, [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 5.0]) == 1.0
 
 
 def test_blas_rebuild_is_byte_identical():
@@ -359,11 +380,31 @@ def box_set(kind, n, seed):
 def test_level_build_matches_per_node_build(kind, n, seed, leaf_max):
     lo, hi = box_set(kind, n, seed)
     got = accel._build_bvh_levels(lo, hi, leaf_max)
-    want = accel._build_bvh(lo, hi, leaf_max)
+    want = bvh_oracle._build_bvh(lo, hi, leaf_max)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.dtype, g.shape) == (w.dtype, w.shape)
         assert g.tobytes() == w.tobytes()
+
+
+def test_blas_matches_the_per_node_oracle_on_real_meshes(bench_gltf, demo_gltf):
+    quad = (np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
+            np.array([[0, 1, 2], [0, 2, 3]]))
+    sphere = sphere_geometry(0.5, 64, 96)
+    meshes = [(g.positions, g.triangles) for path in (bench_gltf, demo_gltf)
+              for g in load_gltf(path).geometries]
+    meshes += [quad, (sphere.positions, sphere.triangles)]
+    assert sorted(len(tri) for _, tri in meshes) == [2, 2, 4, 8, 12, 12, 288, 12096]
+    for pos, tri in meshes:
+        a, b, c = pos[tri[:, 0]], pos[tri[:, 1]], pos[tri[:, 2]]
+        *nodes, order = bvh_oracle._build_bvh(np.minimum(np.minimum(a, b), c),
+                                              np.maximum(np.maximum(a, b), c), LEAF_MAX_TRIS)
+        blas = build_blas(pos, tri)
+        got = [blas.node_lo, blas.node_hi, blas.node_left, blas.node_right,
+               blas.node_start, blas.node_count, blas.tri_order]
+        for g, w in zip(got, [*nodes, order]):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
 
 
 # ---------------------------------------------------------------- traversal

@@ -3,6 +3,7 @@ application order, timing records, and output determinism."""
 
 import threading
 import uuid
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ from softrender.interchange import attach_table, create_table, unlink_region
 from softrender.linalg import rotate_x, rotate_y, translate
 from softrender.procedural import make_bench_scene, make_shadow_scene, make_triangle_scene
 from softrender.raster import main_pass
-from softrender.scene import refresh_world_transforms
+from softrender.scene import MeshGeometry, SceneNode, refresh_world_transforms
 
 
 @dataclass
@@ -137,6 +138,29 @@ def test_single_frame_equals_direct_render():
     tlas = build_tlas(make_tlas_instances(fresh, blases), frame_index=0)
     direct = resolve_msaa(main_pass(fresh, tlas, cfg))
     assert np.array_equal(images[0].pixels, direct.pixels)
+
+
+def test_instance_of_empty_geometry_renders_as_absent():
+    """A node whose geometry has no triangles casts no shadow, makes no TLAS
+    box and leaves every pixel as it is without that node."""
+    bare = make_shadow_scene()
+    scene = make_shadow_scene()
+    scene.geometries.append(MeshGeometry(positions=np.zeros((0, 3)), normals=np.zeros((0, 3)),
+                                         uvs=np.zeros((0, 2)), triangles=np.zeros((0, 3))))
+    # first in node order, between the light and the ground
+    scene.nodes.insert(0, SceneNode(name="hollow", parent=None, local=translate(1.0, 3.0, 1.0),
+                                    mesh_instance=(2, 0)))
+    refresh_world_transforms(scene)
+    images = {}
+    for shadows in (True, False):
+        cfg = small_config(shadows=shadows, msaa=4, overlay=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _, _ = run_frame_loop(scene, cfg, frames=1)
+        want, _, _ = run_frame_loop(bare, cfg, frames=1)
+        assert ppm_bytes(got[0]) == ppm_bytes(want[0])
+        images[shadows] = ppm_bytes(got[0])
+    assert images[True] != images[False]  # the blocker's shadow is in the picture
 
 
 def test_worker_count_invariance():
