@@ -9,7 +9,7 @@ on the CPU and every output is reproducible byte for byte.
 """
 
 from .accel import (
-    Aabb, Blas, Hit, Ray, Tlas, TlasInstance, blas_signature,
+    Aabb, Blas, Hit, Ray, Tlas, blas_signature,
     brute_force_closest_hit, build_blas, build_tlas, compact_blas,
     ray_any_hit, ray_closest_hit, serialize_blas, shadow_mask, shadow_visibility,
 )
@@ -37,7 +37,7 @@ from .overlay import format_stats, overlay_pass, render_text
 from .raster import Draws, build_draws, main_pass
 from .scene import (
     Camera, MaterialPbr, MeshGeometry, PointLight, Scene, SceneNode,
-    apply_transform_table, compute_world_transforms, duplicate_scene_geometry,
+    WorldTable, compute_world_transforms, duplicate_scene_geometry,
     refresh_world_transforms, scene_from_dump, scene_to_dump, validate_scene,
 )
 from .shading import (

@@ -5,10 +5,11 @@ splits every node of one tree depth in one array step.  A Blas (bottom
 level) is built once per geometry over object-space triangles; a
 geometry without triangles gets one empty leaf, and its instances are
 left out of the top level.  A Tlas (top level) is rebuilt from scratch
-every frame over the world-space boxes of the instances, working on
-instance arrays: one corner transform gives every world box, and the
-inverses come from the caller (the frame loop reuses those its pose
-check computed; build_tlas makes them in one batched inversion).
+every frame over the world-space boxes of the instances, given as
+arrays (transforms, BLAS indices, names; instance k has id k): one
+corner transform gives every world box, and the inverses come from the
+caller when it has them (the frame loop reuses those its pose check
+computed), else from one batched inversion.
 Queries run in batches: rays walk each level as a frontier of (ray,
 node) pairs, every (ray, instance) pair moves into that instance's
 object space (so t stays in world units), and Moller-Trumbore runs over
@@ -347,19 +348,8 @@ def compact_blas(blas: Blas) -> Blas:
 # Top level: instances with world transforms.
 
 @dataclass
-class TlasInstance:
-    blas: Blas
-    transform: np.ndarray  # (4, 4) object-to-world, invertible
-    node_name: str
-    instance_id: int
-
-    def __post_init__(self):
-        self.transform = np.asarray(self.transform, dtype=np.float64).reshape(4, 4)
-
-
-@dataclass
 class Tlas(_Nodes):
-    blases: list[Blas]          # each distinct BLAS once
+    blases: list[Blas]          # as given, used or not
     blas_index: np.ndarray      # (K,) each instance's BLAS, an index into blases
     transforms: np.ndarray      # (K, 4, 4) object to world
     inv_transforms: np.ndarray  # (K, 4, 4)
@@ -370,44 +360,27 @@ class Tlas(_Nodes):
     world_hi: np.ndarray
     frame_index: int = 0
 
-    @property
-    def instances(self) -> list[TlasInstance]:
-        """The instances as TlasInstance records, made on every access."""
-        return [TlasInstance(blas=self.blases[b], transform=m, node_name=name, instance_id=int(i))
-                for b, m, name, i in zip(self.blas_index, self.transforms, self.node_names,
-                                         self.instance_ids)]
 
-
-def build_tlas(instances: list[TlasInstance], frame_index: int = 0) -> Tlas:
-    """Full rebuild over the instance list; no incremental refit."""
-    blases = list({id(inst.blas): inst.blas for inst in instances}.values())
-    index = {id(blas): b for b, blas in enumerate(blases)}
-    transforms = np.array([inst.transform for inst in instances]).reshape(-1, 4, 4)
-    return build_tlas_arrays(blases, np.array([index[id(inst.blas)] for inst in instances],
-                                              dtype=np.int64),
-                             transforms, np.linalg.inv(transforms),
-                             [inst.node_name for inst in instances],
-                             np.array([inst.instance_id for inst in instances], dtype=np.int64),
-                             frame_index)
-
-
-def build_tlas_arrays(blases: list[Blas], blas_index: np.ndarray, transforms: np.ndarray,
-                      inv_transforms: np.ndarray, node_names: list[str],
-                      instance_ids: np.ndarray, frame_index: int = 0) -> Tlas:
-    """build_tlas over K instances given as arrays: instance k is
-    blases[blas_index[k]] at transforms[k], whose inverse the caller
-    supplies.  The Tlas keeps the arrays it is given, so each call needs
+def build_tlas(transforms, blas_index, blases: list[Blas], node_names: list[str],
+               frame_index: int = 0, inv_transforms=None) -> Tlas:
+    """Full rebuild over K instances, no incremental refit: instance k is
+    blases[blas_index[k]] at transforms[k], named node_names[k], and its
+    id is k.  Without inv_transforms the inverses come from one batched
+    inversion.  The Tlas keeps the arrays it is given, so each call needs
     its own transforms and inverses.  An instance of a BLAS without
-    triangles is left out, as if absent."""
-    kept = np.array([len(blas.tri_order) > 0 for blas in blases], dtype=bool)[blas_index]
-    if not kept.all():
-        return build_tlas_arrays(blases, blas_index[kept], transforms[kept], inv_transforms[kept],
-                                 [name for name, k in zip(node_names, kept) if k],
-                                 instance_ids[kept], frame_index)
-    if not len(transforms):
-        return Tlas(blases=[], blas_index=np.zeros(0, dtype=np.int64),
-                    transforms=np.zeros((0, 4, 4)), inv_transforms=np.zeros((0, 4, 4)),
-                    node_names=[], instance_ids=np.zeros(0, dtype=np.int64),
+    triangles is left out, as if absent; the others keep their ids."""
+    transforms = np.asarray(transforms, dtype=np.float64).reshape(-1, 4, 4)
+    blas_index = np.asarray(blas_index, dtype=np.int64)
+    if inv_transforms is None:
+        inv_transforms = np.linalg.inv(transforms)
+    ids = np.flatnonzero(np.array([len(blas.tri_order) > 0 for blas in blases],
+                                  dtype=bool)[blas_index])
+    if len(ids) < len(transforms):
+        blas_index, node_names = blas_index[ids], [node_names[k] for k in ids]
+        transforms, inv_transforms = transforms[ids], inv_transforms[ids]
+    if not len(ids):
+        return Tlas(blases=list(blases), blas_index=blas_index, transforms=transforms,
+                    inv_transforms=inv_transforms, node_names=node_names, instance_ids=ids,
                     node_lo=np.zeros((1, 3)), node_hi=np.zeros((1, 3)),
                     node_left=np.int32([-1]), node_right=np.int32([-1]),
                     node_start=np.int32([0]), node_count=np.int32([0]),
@@ -423,7 +396,7 @@ def build_tlas_arrays(blases: list[Blas], blas_index: np.ndarray, transforms: np
     *nodes, order = _build_bvh_levels(world_lo, world_hi, LEAF_MAX_INSTANCES)
     return Tlas(*nodes, blases=list(blases), blas_index=blas_index, transforms=transforms,
                 inv_transforms=inv_transforms, node_names=node_names,
-                instance_ids=instance_ids, inst_order=order,
+                instance_ids=ids, inst_order=order,
                 world_lo=world_lo, world_hi=world_hi, frame_index=frame_index)
 
 
@@ -558,12 +531,11 @@ def shadow_visibility(tlas: Tlas, point, normal, light_pos) -> float:
 def all_world_triangles(tlas: Tlas):
     """((K, 3, 3) world vertices, (K,) instance ids, (K,) triangle indices)."""
     verts, inst_ids, tri_ids = [], [], []
-    for inst in tlas.instances:
-        blas = inst.blas
+    for i, m, inst_id in zip(tlas.blas_index, tlas.transforms, tlas.instance_ids):
+        blas = tlas.blases[i]
         base = blas.v0
         b = blas.v0 + blas.e1
         c = blas.v0 + blas.e2
-        m = inst.transform
         w0 = base @ m[:3, :3].T + m[:3, 3]
         w1 = b @ m[:3, :3].T + m[:3, 3]
         w2 = c @ m[:3, :3].T + m[:3, 3]
@@ -571,7 +543,7 @@ def all_world_triangles(tlas: Tlas):
         # undo the build permutation so triangle ids match geometry order
         inv_order = np.argsort(blas.tri_order, kind="stable")
         verts.append(tri_world[inv_order])
-        inst_ids.append(np.full(len(base), inst.instance_id, dtype=np.int64))
+        inst_ids.append(np.full(len(base), inst_id, dtype=np.int64))
         tri_ids.append(np.arange(len(base), dtype=np.int64))
     if not verts:
         return np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)

@@ -8,13 +8,15 @@ while a frame in flight may still use it.  A third, loop-lifetime queue
 runs finalizers in reverse push order so dependents are released before
 what they depend on.
 
-Before the first frame the loop builds one BLAS per geometry, puts every
-world transform into one WorldTable (scene.world's entries for posed
-names become views of its rows) and sorts the draws, once per loop: the
-node set does not change within a loop, only the poses do.
+Before the first frame the loop builds one BLAS per geometry (a list
+indexed by geometry id), puts every world transform into one WorldTable
+(scene.world's entries for posed names become views of its rows) and
+sorts the draws, once per loop: the node set does not change within a
+loop, only the poses do.
 
 Frame order: flush slot queue -> apply external poses to the table ->
-rebuild TLAS from the table's mesh rows -> gather the draws' world
+rebuild TLAS from the table's mesh rows (build_tlas over their matrices,
+with the inverses the pose check computed) -> gather the draws' world
 matrices -> main pass -> display stage (resolve -> FXAA -> overlay ->
 write image -> record the image and stage timings) -> pace to the frame
 budget.
@@ -43,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accel import Blas, TlasInstance, build_blas, build_tlas_arrays, compact_blas
+from .accel import Blas, build_blas, build_tlas, compact_blas
 from .errors import ConfigurationError, ValidationError
 from .framebuffer import SAMPLE_POSITIONS, create_framebuffer, resolve_msaa, write_image
 from .fxaa import fxaa_pass
@@ -181,22 +183,10 @@ class FrameStats:
     pose_generations: list = field(default_factory=list)
 
 
-def build_scene_blases(scene: Scene) -> dict[int, Blas]:
-    """One compacted BLAS per geometry id; built once, shared by clones."""
-    out = {}
-    for gid, geo in enumerate(scene.geometries):
-        out[gid] = compact_blas(build_blas(geo.positions, geo.triangles, geometry_id=gid))
-    return out
-
-
-def make_tlas_instances(scene: Scene, blases: dict[int, Blas]) -> list[TlasInstance]:
-    instances = []
-    for n in scene.mesh_nodes():
-        instances.append(TlasInstance(blas=blases[n.mesh_instance[0]],
-                                      transform=scene.world[n.name],
-                                      node_name=n.name,
-                                      instance_id=len(instances)))
-    return instances
+def build_scene_blases(scene: Scene) -> list[Blas]:
+    """One compacted BLAS per geometry, indexed by geometry id; built once, shared by clones."""
+    return [compact_blas(build_blas(geo.positions, geo.triangles, geometry_id=gid))
+            for gid, geo in enumerate(scene.geometries)]
 
 
 def frame_output_path(prefix: str, frame_index: int, image_format: str = "ppm") -> Path:
@@ -225,15 +215,12 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     if not scene.world:
         refresh_world_transforms(scene)
     select_camera(scene, config.camera)  # fail before any work if absent
-    blases = list(build_scene_blases(scene).values())  # index = geometry id
+    blases = build_scene_blases(scene)
     table = WorldTable(scene)
     names, geometry, material = mesh_instances(scene)
     rows = np.fromiter(map(table.rows.__getitem__, names), np.int64, len(names))
     draws = sort_draws(names, geometry, material, table.matrices[rows])
-    instance_ids = np.arange(len(names))
-    # the overlay's total; poses do not change it
-    triangles = int(np.array([g.triangle_count for g in scene.geometries],
-                             dtype=np.int64)[geometry].sum())
+    triangles = scene.total_triangles()  # the overlay's; poses do not change it
     resources = FrameResources(config)
     stats = FrameStats()
     images = []
@@ -281,8 +268,7 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
 
             t0 = time.perf_counter()
             world = table.matrices[rows]
-            tlas = build_tlas_arrays(blases, geometry, world,
-                                     table.inverses(rows), names, instance_ids, frame_index=i)
+            tlas = build_tlas(world, geometry, blases, names, i, table.inverses(rows))
             t1 = time.perf_counter()
 
             draws = replace(draws, world=world[draws.order])

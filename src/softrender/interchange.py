@@ -104,15 +104,28 @@ def _decode_records(buf: bytes, node_count: int):
 
 
 class TransformSnapshot:
-    """One stable frame of the table.
+    """One stable frame of the table: names and their (N, 4, 4) float64
+    world transforms, matrices.
 
-    A reader's snapshot carries the roster's names, one list shared by
-    every snapshot of that reader, and matrices, their (N, 4, 4) float64
-    world transforms; entries pairs them up on first access.  A snapshot
-    built from entries carries only those, with names and matrices None.
+    A reader's snapshots share one names list, the roster's; entries pairs
+    names and matrices up on first access.  A snapshot built from entries,
+    [(name, 16 values)], stacks them.  ValidationError unless there is
+    one 4x4 matrix per name.
     """
 
     def __init__(self, generation: int, entries=None, names=None, matrices=None):
+        if entries is not None:
+            entries = list(entries)
+            names = [name for name, _ in entries]
+            try:
+                matrices = np.array([np.reshape(mat, (4, 4)) for _, mat in entries],
+                                    dtype=np.float64).reshape(-1, 4, 4)
+            except ValueError as exc:
+                raise ValidationError(f"pose snapshot holds a matrix that is not 4x4 ({exc})") \
+                    from exc
+        if np.shape(matrices) != (len(names), 4, 4):
+            raise ValidationError(f"pose snapshot matrices have shape {np.shape(matrices)}, "
+                                  f"expected ({len(names)}, 4, 4)")
         self.generation = generation
         self.names = names
         self.matrices = matrices
@@ -124,9 +137,6 @@ class TransformSnapshot:
         if self._entries is None:
             self._entries = list(zip(self.names, self.matrices))
         return self._entries
-
-    def mapping(self) -> dict:
-        return dict(self.entries)
 
 
 class TransformTableWriter:

@@ -207,27 +207,6 @@ def check_invertible(names, mats: np.ndarray, what: str) -> np.ndarray:
         raise
 
 
-def _snapshot_arrays(snapshot):
-    """(names, (N, 4, 4) float64 matrices) of a pose snapshot.
-
-    A snapshot has entries, [(name, matrix)]; one that also carries names
-    and matrices arrays (a reader's interchange.TransformSnapshot) is
-    taken as it is, with no pass over its entries.
-    """
-    mats = getattr(snapshot, "matrices", None)
-    if mats is not None:
-        if mats.shape != (len(snapshot.names), 4, 4):
-            raise ValidationError(f"pose snapshot matrices have shape {mats.shape}, "
-                                  f"expected ({len(snapshot.names)}, 4, 4)")
-        return snapshot.names, mats
-    try:
-        mats = np.array([np.reshape(mat, (4, 4)) for _, mat in snapshot.entries],
-                        dtype=np.float64).reshape(-1, 4, 4)
-    except ValueError as exc:
-        raise ValidationError(f"pose snapshot holds a matrix that is not 4x4 ({exc})") from exc
-    return [name for name, _ in snapshot.entries], mats
-
-
 class WorldTable:
     """Every world transform of a scene as a row of one (N, 4, 4) array.
 
@@ -255,8 +234,17 @@ class WorldTable:
         self._applied = b""  # the bytes of the last matrices applied under that names list
 
     def apply(self, snapshot) -> int:
-        """apply_transform_table on the table; see there."""
-        names, mats = _snapshot_arrays(snapshot)
+        """Overwrite world transforms from an interchange TransformSnapshot.
+
+        Matching is by node name; the hierarchy is bypassed on purpose since
+        the table carries world-space matrices.  A name given twice ends at
+        its last matrix.  Returns the number of snapshot entries that matched
+        no scene.world name (non-fatal, surfaced in frame stats).  Raises
+        ValidationError, leaving the table untouched, if any matrix is
+        non-finite or singular, checked in that order (one that is not 4x4
+        fails when the snapshot is built).
+        """
+        names, mats = snapshot.names, snapshot.matrices
         raw = mats.tobytes()  # bytes, not values: -0.0 for 0.0 is a change
         if names is self._roster[0] and raw == self._applied:
             return self._roster[3]
@@ -284,26 +272,14 @@ class WorldTable:
         return self._inverses[rows]
 
 
-def apply_transform_table(scene: Scene, snapshot) -> int:
-    """Overwrite node world transforms from an interchange snapshot.
-
-    Matching is by node name; the hierarchy is bypassed on purpose since
-    the table carries world-space matrices.  A name given twice ends at
-    its last matrix.  Returns the number of snapshot entries that matched
-    no scene.world name (non-fatal, surfaced in frame stats).  Raises
-    ValidationError, leaving the scene untouched, if any matrix in the
-    snapshot is not 16 values, non-finite or singular, checked in that
-    order.  The frame loop applies snapshots to its WorldTable directly.
-    """
-    return WorldTable(scene).apply(snapshot)
-
-
 def scene_world_aabb(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     """World-space bounds over all mesh instances ((3,) min, (3,) max)."""
     lo = np.full(3, np.inf)
     hi = np.full(3, -np.inf)
     for n in scene.mesh_nodes():
         geo = scene.geometries[n.mesh_instance[0]]
+        if not geo.vertex_count:  # no triangles either: drawn and traced as absent
+            continue
         m = scene.world[n.name]
         pts = geo.positions @ m[:3, :3].T + m[:3, 3]
         lo = np.minimum(lo, pts.min(axis=0))
@@ -346,13 +322,15 @@ def duplicate_scene_geometry(scene: Scene, doublings: int) -> Scene:
     lo, hi = scene_world_aabb(scene)
     spacing = np.maximum(hi - lo, 1e-6) * 1.15
     copies = (1 << doublings) - 1
+    taken = {n.name for n in out.nodes}
     for node in scene.mesh_nodes():
         base_world = scene.world[node.name]
         for j in range(1, copies + 1):
             off = _lattice_offset(j, spacing)
             clone_name = f"{node.name}~{j}"
-            if any(n.name == clone_name for n in out.nodes):
+            if clone_name in taken:
                 raise ValidationError(f"clone name collision '{clone_name}'")
+            taken.add(clone_name)
             local = translate(*off) @ base_world
             out.nodes.append(SceneNode(name=clone_name, parent=None, local=local,
                                        mesh_instance=node.mesh_instance))

@@ -55,11 +55,11 @@ def render_targets(bench_gltf, demo_gltf):
     8, shadows on, at 96x72, from the scene camera and from a close one: the
     display stages' real inputs."""
     from softrender.accel import build_tlas
-    from softrender.frameloop import RenderConfig, build_scene_blases, make_tlas_instances
+    from softrender.frameloop import RenderConfig, build_scene_blases
     from softrender.gltf import load_gltf
     from softrender.linalg import translate
     from softrender.raster import main_pass, select_camera
-    from softrender.scene import duplicate_scene_geometry, refresh_world_transforms
+    from softrender.scene import duplicate_scene_geometry, mesh_instances, refresh_world_transforms
 
     bench = load_gltf(bench_gltf)
     refresh_world_transforms(bench)
@@ -68,7 +68,9 @@ def render_targets(bench_gltf, demo_gltf):
     targets = []
     for scene, close in scenes:
         refresh_world_transforms(scene)
-        tlas = build_tlas(make_tlas_instances(scene, build_scene_blases(scene)), frame_index=0)
+        names, geometry, _ = mesh_instances(scene)
+        tlas = build_tlas([scene.world[n] for n in names], geometry, build_scene_blases(scene),
+                          names)
         for pose in (None, close):
             if pose is not None:
                 scene.world[select_camera(scene).node] = pose

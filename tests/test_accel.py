@@ -24,7 +24,6 @@ from softrender.accel import (
     SHADOW_OFFSET,
     Aabb,
     Ray,
-    TlasInstance,
     all_world_triangles,
     blas_dump_text,
     blas_signature,
@@ -40,10 +39,11 @@ from softrender.accel import (
     shadow_visibility,
     tlas_dump_text,
 )
-from softrender.frameloop import build_scene_blases, make_tlas_instances
+from softrender.frameloop import build_scene_blases
 from softrender.gltf import load_gltf
 from softrender.linalg import rotate_y, rotate_z, translate, scale
 from softrender.procedural import cube_geometry, make_demo_scene, plane_geometry, sphere_geometry
+from softrender.scene import mesh_instances
 
 
 # ---------------------------------------------------------------- fixtures
@@ -60,12 +60,8 @@ def triangle_soup(rng, tri_count, lo=-2.0, hi=2.0):
 def two_instance_tlas(rng, tri_count=500):
     pos, tri = triangle_soup(rng, tri_count)
     blas = build_blas(pos, tri, geometry_id=0)
-    instances = [
-        TlasInstance(blas=blas, transform=np.eye(4), node_name="a", instance_id=0),
-        TlasInstance(blas=blas, transform=translate(1.5, -0.5, 2.0) @ rotate_y(0.7),
-                     node_name="b", instance_id=1),
-    ]
-    return build_tlas(instances, frame_index=0)
+    return build_tlas([np.eye(4), translate(1.5, -0.5, 2.0) @ rotate_y(0.7)], [0, 0], [blas],
+                      ["a", "b"], frame_index=0)
 
 
 def shell_rays(rng, count, radius=8.0, target_spread=2.5, unit_dirs=True):
@@ -190,15 +186,11 @@ def test_blas_without_triangles_is_one_empty_leaf_left_out_of_the_tlas():
     assert np.all(empty.node_lo > empty.node_hi)  # inverted: it bounds nothing
     pos = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
     tri = build_blas(pos, np.array([[0, 1, 2]]))
-    tlas = build_tlas([TlasInstance(blas=empty, transform=np.eye(4), node_name="hollow",
-                                    instance_id=0),
-                       TlasInstance(blas=tri, transform=np.eye(4), node_name="tri",
-                                    instance_id=1)])
+    tlas = build_tlas([np.eye(4), np.eye(4)], [0, 1], [empty, tri], ["hollow", "tri"])
     assert (tlas.instance_ids.tolist(), tlas.node_names) == ([1], ["tri"])
     hit = ray_closest_hit(tlas, Ray(origin=[0.2, 0.2, 1.0], direction=[0.0, 0.0, -1.0]))
     assert (hit.instance_id, hit.triangle_index) == (1, 0)
-    alone = build_tlas([TlasInstance(blas=empty, transform=np.eye(4), node_name="hollow",
-                                     instance_id=0)])
+    alone = build_tlas([np.eye(4)], [0], [empty], ["hollow"])
     assert len(alone.instance_ids) == 0
     assert shadow_visibility(alone, [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 5.0]) == 1.0
 
@@ -224,8 +216,7 @@ def test_compaction_shrinks_and_preserves_queries():
     assert compact_blas(packed) is packed
 
     def tlas_for(blas):
-        return build_tlas([TlasInstance(blas=blas, transform=np.eye(4),
-                                        node_name="n", instance_id=0)])
+        return build_tlas([np.eye(4)], [0], [blas], ["n"])
     t_raw, t_packed = tlas_for(raw), tlas_for(packed)
     for ray in shell_rays(rng, 200):
         h1 = ray_closest_hit(t_raw, ray)
@@ -243,8 +234,7 @@ def test_single_identity_instance_tlas_root_equals_blas_root():
     rng = np.random.default_rng(15)
     pos, tri = triangle_soup(rng, 64)
     blas = build_blas(pos, tri)
-    tlas = build_tlas([TlasInstance(blas=blas, transform=np.eye(4),
-                                    node_name="n", instance_id=0)])
+    tlas = build_tlas([np.eye(4)], [0], [blas], ["n"])
     np.testing.assert_allclose(tlas.root_aabb.lo, blas.root_aabb.lo)
     np.testing.assert_allclose(tlas.root_aabb.hi, blas.root_aabb.hi)
 
@@ -255,8 +245,7 @@ def test_tlas_world_bounds_cover_transformed_vertices():
     blas = build_blas(pos, tri)
     transforms = [translate(3, 1, -2) @ rotate_y(0.9) @ rotate_z(0.4),
                   translate(-1, 4, 0.5) @ scale(0.5, 2.0, 1.5) @ rotate_z(-1.2)]
-    tlas = build_tlas([TlasInstance(blas=blas, transform=m, node_name=f"n{k}", instance_id=k)
-                       for k, m in enumerate(transforms)])
+    tlas = build_tlas(transforms, [0, 0], [blas], ["n0", "n1"])
     for k, m in enumerate(transforms):
         world_pts = pos @ m[:3, :3].T + m[:3, 3]
         assert np.all(world_pts >= tlas.world_lo[k] - 1e-9)
@@ -268,13 +257,10 @@ def test_tlas_leaf_instance_budget_and_rebuild_determinism():
     rng = np.random.default_rng(17)
     pos, tri = triangle_soup(rng, 60)
     blas = build_blas(pos, tri)
-    instances = [
-        TlasInstance(blas=blas, transform=translate(4.0 * i, 0.5 * (i % 3), -2.0 * (i % 5)),
-                     node_name=f"n{i}", instance_id=i)
-        for i in range(12)
-    ]
-    t1 = build_tlas(instances, frame_index=3)
-    t2 = build_tlas(instances, frame_index=3)
+    transforms = [translate(4.0 * i, 0.5 * (i % 3), -2.0 * (i % 5)) for i in range(12)]
+    names = [f"n{i}" for i in range(12)]
+    t1 = build_tlas(transforms, [0] * 12, [blas], names, frame_index=3)
+    t2 = build_tlas(transforms, [0] * 12, [blas], names, frame_index=3)
     assert serialize_tlas(t1) == serialize_tlas(t2)
     leaves = np.flatnonzero(t1.node_count > 0)
     assert np.all(t1.node_count[leaves] <= LEAF_MAX_INSTANCES)
@@ -285,10 +271,10 @@ def test_tlas_leaf_instance_budget_and_rebuild_determinism():
     assert sorted(collected) == list(range(12))
 
 
-def unit_cubes(centers):
+def unit_cube_tlas(centers):
     blas = build_blas(cube_geometry(1.0).positions, cube_geometry(1.0).triangles)
-    return [TlasInstance(blas=blas, transform=translate(*c), node_name=f"c{k}", instance_id=k)
-            for k, c in enumerate(centers)]
+    return build_tlas([translate(*c) for c in centers], [0] * len(centers), [blas],
+                      [f"c{k}" for k in range(len(centers))])
 
 
 @pytest.mark.parametrize("centers, left", [
@@ -298,7 +284,7 @@ def unit_cubes(centers):
     ([(0, 0, 0), (2, 0, 0), (4, 0, 0)], [0]),
 ], ids=["axis-tie", "bin-tie"])
 def test_sah_ties_resolve_to_lower_axis_then_lower_bin(centers, left):
-    tlas = build_tlas(unit_cubes(centers))
+    tlas = unit_cube_tlas(centers)
     ni = int(tlas.node_left[0])
     s, c = int(tlas.node_start[ni]), int(tlas.node_count[ni])
     assert s >= 0
@@ -335,19 +321,19 @@ PINNED_BUILD_SHA256 = {
 def test_serialized_builds_match_pinned_sha256():
     rng = np.random.default_rng(20)
     blas = build_blas(*triangle_soup(rng, 300))
-    instances = [TlasInstance(blas=blas, node_name=f"n{i}", instance_id=i,
-                              transform=translate(*rng.uniform(-6.0, 6.0, 3)) @ rotate_y(0.3 * i))
-                 for i in range(24)]
+    transforms = [translate(*rng.uniform(-6.0, 6.0, 3)) @ rotate_y(0.3 * i) for i in range(24)]
     wide = make_demo_scene(1024)
+    names, geometry, _ = mesh_instances(wide)
 
     def sha(data):
         return hashlib.sha256(data).hexdigest()
 
     assert {"blas": sha(serialize_blas(blas)),
             "compact_blas": sha(serialize_blas(compact_blas(blas))),
-            "tlas": sha(serialize_tlas(build_tlas(instances, frame_index=5))),
-            "wide_tlas": sha(serialize_tlas(build_tlas(
-                make_tlas_instances(wide, build_scene_blases(wide)))))} \
+            "tlas": sha(serialize_tlas(build_tlas(transforms, [0] * 24, [blas],
+                                                  [f"n{i}" for i in range(24)], frame_index=5))),
+            "wide_tlas": sha(serialize_tlas(build_tlas([wide.world[n] for n in names], geometry,
+                                                       build_scene_blases(wide), names)))} \
         == PINNED_BUILD_SHA256
 
 
@@ -412,8 +398,7 @@ def test_blas_matches_the_per_node_oracle_on_real_meshes(bench_gltf, demo_gltf):
 def test_ray_parallel_to_triangle_plane_misses():
     pos = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]])
     blas = build_blas(pos, np.array([[0, 1, 2]]))
-    tlas = build_tlas([TlasInstance(blas=blas, transform=np.eye(4),
-                                    node_name="n", instance_id=0)])
+    tlas = build_tlas([np.eye(4)], [0], [blas], ["n"])
     ray = Ray(origin=[0.2, 0.2, 1.0], direction=[1.0, 0.0, 0.0])
     assert ray_closest_hit(tlas, ray) is None
     assert not ray_any_hit(tlas, ray)
@@ -493,8 +478,7 @@ def test_any_hit_matches_linear_solve_oracle_on_finite_segments():
 def test_hit_t_is_in_world_units_under_scaled_instance():
     pos = np.array([[-1.0, -1, 5], [1, -1, 5], [0, 1, 5]])
     blas = build_blas(pos, np.array([[0, 1, 2]]))
-    tlas = build_tlas([TlasInstance(blas=blas, transform=scale(2, 2, 2),
-                                    node_name="n", instance_id=0)])
+    tlas = build_tlas([scale(2, 2, 2)], [0], [blas], ["n"])
     hit = ray_closest_hit(tlas, Ray(origin=[0, 0, 0], direction=[0, 0, 1]))
     assert hit is not None
     assert hit.t == pytest.approx(10.0, rel=1e-12)
@@ -503,8 +487,7 @@ def test_hit_t_is_in_world_units_under_scaled_instance():
 def test_interval_semantics_closed_vs_open_at_exact_boundary():
     pos = np.array([[-2.0, -2, 5], [2, -2, 5], [0, 3, 5]])
     blas = build_blas(pos, np.array([[0, 1, 2]]))
-    tlas = build_tlas([TlasInstance(blas=blas, transform=np.eye(4),
-                                    node_name="n", instance_id=0)])
+    tlas = build_tlas([np.eye(4)], [0], [blas], ["n"])
     at_max = Ray(origin=[0, 0, 0], direction=[0, 0, 1], t_max=5.0)
     closest = ray_closest_hit(tlas, at_max)
     assert closest is not None and closest.t == 5.0
@@ -519,10 +502,7 @@ def test_tie_break_prefers_lower_instance_then_triangle():
     pos = np.array([[-2.0, -2, 4], [2, -2, 4], [0, 3, 4]])
     tri_dup = np.array([[0, 1, 2], [0, 1, 2]])
     blas = build_blas(pos, tri_dup)
-    tlas = build_tlas([
-        TlasInstance(blas=blas, transform=np.eye(4), node_name="a", instance_id=0),
-        TlasInstance(blas=blas, transform=np.eye(4), node_name="b", instance_id=1),
-    ])
+    tlas = build_tlas([np.eye(4), np.eye(4)], [0, 0], [blas], ["a", "b"])
     hit = ray_closest_hit(tlas, Ray(origin=[0, 0, 0], direction=[0, 0, 1]))
     assert hit is not None
     assert hit.instance_id == 0
@@ -532,15 +512,13 @@ def test_tie_break_prefers_lower_instance_then_triangle():
 # ---------------------------------------------------------------- shadows
 
 def _tlas_of(geometry, transform=None, extra=None):
-    blas = build_blas(geometry.positions, geometry.triangles)
-    instances = [TlasInstance(blas=blas, transform=np.eye(4) if transform is None else transform,
-                              node_name="g0", instance_id=0)]
+    blases = [build_blas(geometry.positions, geometry.triangles)]
+    transforms = [np.eye(4) if transform is None else transform]
     if extra is not None:
         geo2, m2 = extra
-        blas2 = build_blas(geo2.positions, geo2.triangles, geometry_id=1)
-        instances.append(TlasInstance(blas=blas2, transform=m2,
-                                      node_name="g1", instance_id=1))
-    return build_tlas(instances)
+        blases.append(build_blas(geo2.positions, geo2.triangles, geometry_id=1))
+        transforms.append(m2)
+    return build_tlas(transforms, range(len(blases)), blases, ["g0", "g1"][:len(blases)])
 
 
 def test_shadow_point_under_quad_occluded_and_reverse():
@@ -554,7 +532,7 @@ def test_shadow_point_under_quad_occluded_and_reverse():
 
 
 def test_shadow_no_geometry_fully_visible():
-    tlas = build_tlas([])
+    tlas = build_tlas([], [], [], [])
     assert shadow_visibility(tlas, [0, 0, 0], [0, 1, 0], [0, 5, 0]) == 1.0
 
 
@@ -581,10 +559,8 @@ def test_shadow_light_exactly_at_surface_point_is_visible():
 def test_shadow_mask_matches_linear_solve_oracle():
     rng = np.random.default_rng(46)
     blas = build_blas(*triangle_soup(rng, 60, lo=-1.0, hi=1.0))
-    tlas = build_tlas([
-        TlasInstance(blas=blas, transform=np.eye(4), node_name="a", instance_id=0),
-        TlasInstance(blas=blas, transform=translate(0.3, -0.2, 0.4) @ rotate_y(0.7),
-                     node_name="b", instance_id=1)])
+    tlas = build_tlas([np.eye(4), translate(0.3, -0.2, 0.4) @ rotate_y(0.7)], [0, 0], [blas],
+                      ["a", "b"])
     tris, _, _ = all_world_triangles(tlas)
     light = np.array([0.1, 0.2, -0.1])  # among the triangles
     n = 500
@@ -618,7 +594,8 @@ def test_shadow_mask_matches_linear_solve_oracle():
     assert np.all(want[80:100] == 1.0)
 
     assert shadow_mask(tlas, np.zeros((0, 3)), np.zeros((0, 3)), light).shape == (0,)
-    np.testing.assert_array_equal(shadow_mask(build_tlas([]), points, normals, light), np.ones(n))
+    np.testing.assert_array_equal(shadow_mask(build_tlas([], [], [], []), points, normals, light),
+                                  np.ones(n))
 
 
 # A blocker within an ulp of t_max = dist - SHADOW_OFFSET: the answer
@@ -637,8 +614,7 @@ def test_shadow_mask_matches_linear_solve_oracle():
 ])
 def test_shadow_mask_segment_length_rounding(point, light, blocker, visible):
     blas = build_blas(np.array(blocker), np.array([[0, 1, 2]]))
-    tlas = build_tlas([TlasInstance(blas=blas, transform=np.eye(4), node_name="w",
-                                    instance_id=0)])
+    tlas = build_tlas([np.eye(4)], [0], [blas], ["w"])
     # alone and as one row of a batch
     points = [point, [0.0, 0.0, 0.0], point]
     got = shadow_mask(tlas, points, [[0.0, 1.0, 0.0]] * 3, light)
@@ -655,8 +631,7 @@ def test_dump_text_mentions_every_leaf():
     leaf_lines = [ln for ln in text.splitlines() if "leaf" in ln]
     assert len(leaf_lines) == int(np.sum(blas.node_count > 0))
 
-    tlas = build_tlas([TlasInstance(blas=blas, transform=np.eye(4),
-                                    node_name="solo", instance_id=0)])
+    tlas = build_tlas([np.eye(4)], [0], [blas], ["solo"])
     assert "solo" in tlas_dump_text(tlas)
 
 
@@ -666,18 +641,19 @@ def corpus_tlases(demo_gltf, bench_gltf):
     """The empty TLAS, three-instance soups whose leaves hold 1 to 4
     triangles (raw and compacted), and the demo and bench scenes."""
     rng = np.random.default_rng(71)
-    tlases = [build_tlas([])]
+    tlases = [build_tlas([], [], [], [])]
     for tri_count in (1, 2, 3, 4, 150):
         raw = build_blas(*triangle_soup(rng, tri_count))
         for blas in (raw, compact_blas(raw)):
-            tlases.append(build_tlas([
-                TlasInstance(blas=blas, node_name=f"n{i}", instance_id=i,
-                             transform=translate(*rng.uniform(-2.0, 2.0, 3))
-                             @ rotate_y(rng.uniform(0.0, 6.0)) @ scale(*rng.uniform(0.5, 2.0, 3)))
-                for i in range(3)]))
+            tlases.append(build_tlas(
+                [translate(*rng.uniform(-2.0, 2.0, 3))
+                 @ rotate_y(rng.uniform(0.0, 6.0)) @ scale(*rng.uniform(0.5, 2.0, 3))
+                 for _ in range(3)], [0, 0, 0], [blas], ["n0", "n1", "n2"]))
     for path in (demo_gltf, bench_gltf):
         scene = load_gltf(path)
-        tlases.append(build_tlas(make_tlas_instances(scene, build_scene_blases(scene))))
+        names, geometry, _ = mesh_instances(scene)
+        tlases.append(build_tlas([scene.world[n] for n in names], geometry,
+                                 build_scene_blases(scene), names))
     return tlases
 
 

@@ -23,7 +23,6 @@ from scipy.stats import spearmanr
 
 from softrender.accel import (
     Ray,
-    TlasInstance,
     brute_force_closest_hit,
     build_blas,
     build_tlas,
@@ -236,12 +235,8 @@ def test_acceptance_3_bvh_oracle_equivalence():
         rng = np.random.default_rng(99)
         positions, triangles = _soup(rng, 500)
         blas = build_blas(positions, triangles, geometry_id=0)
-        instances = [
-            TlasInstance(blas=blas, transform=np.eye(4), node_name="a", instance_id=0),
-            TlasInstance(blas=blas, transform=translate(1.5, -0.5, 2.0) @ rotate_y(0.7),
-                         node_name="b", instance_id=1),
-        ]
-        tlas = build_tlas(instances, frame_index=0)
+        transforms = [np.eye(4), translate(1.5, -0.5, 2.0) @ rotate_y(0.7)]
+        tlas = build_tlas(transforms, [0, 0], [blas], ["a", "b"], frame_index=0)
 
         origins, dirs = _shell_rays(rng, 1000)
         rays = [Ray(origin=o, direction=d) for o, d in zip(origins, dirs)]
@@ -265,12 +260,8 @@ def test_acceptance_3_bvh_oracle_equivalence():
         assert hit_count > 400  # the shell aims into the soup; most rays connect
 
         # compaction must not change any query result
-        compact_instances = [
-            TlasInstance(blas=compact_blas(blas), transform=inst.transform,
-                         node_name=inst.node_name, instance_id=inst.instance_id)
-            for inst in instances
-        ]
-        compact_tlas = build_tlas(compact_instances, frame_index=0)
+        compact_tlas = build_tlas(transforms, [0, 0], [compact_blas(blas)], ["a", "b"],
+                                  frame_index=0)
         for ray in rays:
             a = ray_closest_hit(tlas, ray)
             b = ray_closest_hit(compact_tlas, ray)
@@ -282,7 +273,7 @@ def test_acceptance_3_bvh_oracle_equivalence():
                 assert a.t == b.t
 
         # rebuilding over identical inputs is byte-identical
-        again = build_tlas(instances, frame_index=0)
+        again = build_tlas(transforms, [0, 0], [blas], ["a", "b"], frame_index=0)
         assert serialize_tlas(again) == serialize_tlas(tlas)
 
         elapsed = time.perf_counter() - start
@@ -302,14 +293,10 @@ def test_acceptance_4_shadow_disk():
 
         sphere = sphere_geometry(radius, lat_bands=24, lon_bands=32)
         floor = plane_geometry(12.0)
-        instances = [
-            TlasInstance(blas=build_blas(floor.positions, floor.triangles, 0),
-                         transform=np.eye(4), node_name="floor", instance_id=0),
-            TlasInstance(blas=build_blas(sphere.positions, sphere.triangles, 1),
-                         transform=translate(*sphere_center), node_name="ball",
-                         instance_id=1),
-        ]
-        tlas = build_tlas(instances, frame_index=0)
+        tlas = build_tlas([np.eye(4), translate(*sphere_center)], [0, 1],
+                          [build_blas(floor.positions, floor.triangles, 0),
+                           build_blas(sphere.positions, sphere.triangles, 1)],
+                          ["floor", "ball"], frame_index=0)
 
         def occluded(point):
             # segment point->light vs the analytic sphere
@@ -588,7 +575,7 @@ def test_acceptance_8_interchange():
                 if i % 1000 == 999:
                     time.sleep(0)  # keep the shared-lock stream preemptible
                 snap = reader.read_frame()
-                m = snap.mapping()
+                m = dict(snap.entries)
                 tick = int(m["sentinel"][3, 0])
                 ticks.add(tick)
                 ok = snap.generation == 2 * (tick + 1)

@@ -4,7 +4,6 @@ application order, timing records, and output determinism."""
 import threading
 import uuid
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,21 +21,14 @@ from softrender.frameloop import (
     RenderConfig,
     build_scene_blases,
     frame_output_path,
-    make_tlas_instances,
     run_frame_loop,
     timing_csv,
 )
-from softrender.interchange import attach_table, create_table, unlink_region
+from softrender.interchange import TransformSnapshot, attach_table, create_table, unlink_region
 from softrender.linalg import rotate_x, rotate_y, translate
 from softrender.procedural import make_bench_scene, make_shadow_scene, make_triangle_scene
 from softrender.raster import main_pass
-from softrender.scene import MeshGeometry, SceneNode, refresh_world_transforms
-
-
-@dataclass
-class FakeSnapshot:
-    entries: list
-    generation: int = 0
+from softrender.scene import MeshGeometry, SceneNode, mesh_instances, refresh_world_transforms
 
 
 def small_config(**kw):
@@ -134,8 +126,8 @@ def test_single_frame_equals_direct_render():
 
     fresh = make_shadow_scene()
     refresh_world_transforms(fresh)
-    blases = build_scene_blases(fresh)
-    tlas = build_tlas(make_tlas_instances(fresh, blases), frame_index=0)
+    names, geometry, _ = mesh_instances(fresh)
+    tlas = build_tlas([fresh.world[n] for n in names], geometry, build_scene_blases(fresh), names)
     direct = resolve_msaa(main_pass(fresh, tlas, cfg))
     assert np.array_equal(images[0].pixels, direct.pixels)
 
@@ -221,8 +213,7 @@ def test_pose_applies_before_on_frame_hook():
 
     def poses():
         i = len(seen)
-        return FakeSnapshot(entries=[("tri", translate(float(i), 0, 0))],
-                            generation=2 * i)
+        return TransformSnapshot(2 * i, [("tri", translate(float(i), 0, 0))])
 
     def hook(i, resources):
         seen.append(scene.world["tri"][0, 3])
@@ -243,8 +234,7 @@ def test_pose_source_failure_keeps_previous_pose():
         calls["n"] += 1
         if i == 1:
             raise OSError("simulated torn read")
-        return FakeSnapshot(entries=[("tri", translate(0.4 * i, 0, 0))],
-                            generation=2 * i)
+        return TransformSnapshot(2 * i, [("tri", translate(0.4 * i, 0, 0))])
 
     images, _, stats = run_frame_loop(scene, small_config(), frames=3,
                                       pose_source=flaky)
@@ -265,7 +255,7 @@ def test_invalid_pose_keeps_previous_pose(bad):
         i = calls["n"]
         calls["n"] += 1
         mat = bad if i == 1 else translate(0.4 * i, 0, 0)
-        return FakeSnapshot(entries=[("tri", mat)], generation=2 * i)
+        return TransformSnapshot(2 * i, [("tri", mat)])
 
     images, _, stats = run_frame_loop(scene, small_config(), frames=3,
                                       pose_source=poses)
@@ -279,7 +269,7 @@ def test_unmatched_pose_entries_counted_per_frame():
     scene = make_triangle_scene()
 
     def poses():
-        return FakeSnapshot(entries=[("phantom", np.eye(4))], generation=0)
+        return TransformSnapshot(0, [("phantom", np.eye(4))])
 
     _, _, stats = run_frame_loop(scene, small_config(width=16, height=16, msaa=1),
                                  frames=4, pose_source=poses)
@@ -291,12 +281,12 @@ def test_every_frame_matches_an_oracle_render_of_scene_world(monkeypatch):
     """A scripted pose stream: region reads, a partial snapshot, an unmatched
     name, a posed camera, a node named twice, a non-finite pose, a raising
     source and a singular pose.  Every frame's TLAS and image must equal a
-    TLAS built from TlasInstances and a fresh main pass of scene.world as
+    TLAS built by build_tlas over scene.world and a fresh main pass of it as
     that frame sees it."""
     scene = make_bench_scene()
     cfg = small_config(width=56, height=42, msaa=2, shadows=True)
     blases = build_scene_blases(scene)
-    mesh = [n.name for n in scene.mesh_nodes()]
+    mesh, geometry, _ = mesh_instances(scene)
     roster = mesh[::-1] + ["ghost"]  # region order differs from node order
     region = f"test-loop-{uuid.uuid4().hex[:12]}"
     writer = create_table(region, roster)
@@ -312,16 +302,17 @@ def test_every_frame_matches_an_oracle_render_of_scene_world(monkeypatch):
 
     script = [
         lambda: region_pose(0),
-        lambda: FakeSnapshot([("cube.a", translate(0.5, 0.2, 0.0)), ("phantom", np.eye(4))], 10),
-        lambda: FakeSnapshot([("benchcam", translate(0.5, 1.0, 9.0) @ rotate_x(-0.1)),
-                              ("octa.b", translate(1.0, 1.4, -0.4))], 12),
-        lambda: FakeSnapshot([("sphere.a", translate(-3.0, 0.0, 0.0)),
-                              ("tetra.a", rotate_y(0.5)),
-                              ("sphere.a", translate(-0.5, 0.6, 1.5))], 14),
-        lambda: FakeSnapshot([("cube.b", translate(9.0, 0.0, 0.0)),
-                              ("octa.a", np.full((4, 4), np.nan))], 16),
+        lambda: TransformSnapshot(10, [("cube.a", translate(0.5, 0.2, 0.0)),
+                                       ("phantom", np.eye(4))]),
+        lambda: TransformSnapshot(12, [("benchcam", translate(0.5, 1.0, 9.0) @ rotate_x(-0.1)),
+                                       ("octa.b", translate(1.0, 1.4, -0.4))]),
+        lambda: TransformSnapshot(14, [("sphere.a", translate(-3.0, 0.0, 0.0)),
+                                       ("tetra.a", rotate_y(0.5)),
+                                       ("sphere.a", translate(-0.5, 0.6, 1.5))]),
+        lambda: TransformSnapshot(16, [("cube.b", translate(9.0, 0.0, 0.0)),
+                                       ("octa.a", np.full((4, 4), np.nan))]),
         fail,
-        lambda: FakeSnapshot([("ground", np.zeros((4, 4)))], 18),
+        lambda: TransformSnapshot(18, [("ground", np.zeros((4, 4)))]),
         lambda: region_pose(1),
     ]
     calls = iter(script)
@@ -330,7 +321,7 @@ def test_every_frame_matches_an_oracle_render_of_scene_world(monkeypatch):
 
     def spy(scene_, tlas, config, **kwargs):
         fb = real_main_pass(scene_, tlas, config, **kwargs)
-        oracle = build_tlas(make_tlas_instances(scene_, blases), frame_index=len(seen))
+        oracle = build_tlas([scene_.world[n] for n in mesh], geometry, blases, mesh, len(seen))
         seen.append((serialize_tlas(tlas), serialize_tlas(oracle),
                      resolve_msaa(main_pass(scene_, oracle, config)).pixels))
         return fb
@@ -396,9 +387,9 @@ def moving_camera_poses():
 
     def poses():
         i = next(calls)
-        return FakeSnapshot([("benchcam", translate(0.2 * i, 1.0, 9.0 - 0.3 * i) @ rotate_x(-0.1)),
-                             ("cube.a", translate(0.3 * i, 0.2, 0.0) @ rotate_y(0.4 * i))],
-                            generation=2 * i)
+        return TransformSnapshot(2 * i, [
+            ("benchcam", translate(0.2 * i, 1.0, 9.0 - 0.3 * i) @ rotate_x(-0.1)),
+            ("cube.a", translate(0.3 * i, 0.2, 0.0) @ rotate_y(0.4 * i))])
     return poses
 
 

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from softrender.accel import build_tlas
 from softrender.errors import ParseError, SceneError, UnsupportedFeatureError, ValidationError
-from softrender.frameloop import build_scene_blases, make_tlas_instances
+from softrender.frameloop import build_scene_blases
 from softrender.gltf import generate_vertex_normals, load_gltf, parse_gltf_subset
 from softrender.linalg import compose_trs
+from softrender.scene import mesh_instances
 
 
 def pack_floats(values):
@@ -534,4 +535,5 @@ def test_mutated_document_fails_only_with_scene_errors(triangle_gltf, data):
         scene = parse(doc)
     except SceneError:
         return
-    build_tlas(make_tlas_instances(scene, build_scene_blases(scene)))  # a loaded scene renders
+    names, geometry, _ = mesh_instances(scene)  # a loaded scene renders
+    build_tlas([scene.world[n] for n in names], geometry, build_scene_blases(scene), names)

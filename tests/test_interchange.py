@@ -34,6 +34,7 @@ from softrender.interchange import (
     NAME_BYTES,
     RECORD_SIZE,
     VERSION,
+    TransformSnapshot,
     _decode_records,
     attach_table,
     create_table,
@@ -143,12 +144,22 @@ def test_generation_increments_by_two_per_write(region_name):
         writer.close()
 
 
+def test_snapshot_needs_one_4x4_matrix_per_name():
+    # built from entries, a snapshot stacks them; either way apply gets (N, 4, 4)
+    snap = TransformSnapshot(2, [("a", np.eye(4)), ("b", np.arange(16.0))])
+    assert (snap.names, snap.matrices.shape) == (["a", "b"], (2, 4, 4))
+    with pytest.raises(ValidationError, match="not 4x4"):
+        TransformSnapshot(2, [("a", np.eye(4)), ("b", np.eye(3))])
+    with pytest.raises(ValidationError, match=r"expected \(2, 4, 4\)"):
+        TransformSnapshot(2, names=["a", "b"], matrices=np.zeros((2, 3, 3)))
+
+
 def test_snapshot_values_are_float32_quantized(region_name):
     writer = create_table(region_name, ["n"])
     reader = attach_table(region_name)
     try:
         writer.write_frame({"n": translate(0.1, 0.2, 0.3)})
-        mat = reader.read_frame().mapping()["n"]
+        mat = dict(reader.read_frame().entries)["n"]
         assert mat[0, 3] == float(np.float32(0.1))
         assert mat[0, 3] != 0.1  # 0.1 is not exactly representable in f32
         assert mat[1, 3] == float(np.float32(0.2))
@@ -526,7 +537,7 @@ def _sentinel_writer(region, stop):
 def check_snapshot_consistency(snap):
     """A snapshot is torn unless every record agrees with the sentinel
     tick; returns that tick."""
-    m = snap.mapping()
+    m = dict(snap.entries)
     tick = int(m["sentinel"][3, 0])
     assert snap.generation == 2 * (tick + 1)
     sent_rest = m["sentinel"].copy()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from softrender import raster
 from softrender.errors import ConfigurationError, ValidationError
 from softrender.framebuffer import SAMPLE_POSITIONS, create_framebuffer, ppm_bytes, resolve_msaa
-from softrender.frameloop import RenderConfig, build_scene_blases, make_tlas_instances
+from softrender.frameloop import RenderConfig, build_scene_blases
 from softrender.accel import build_tlas
 from softrender.gltf import load_gltf
 from softrender.linalg import rotate_y, scale, translate
@@ -40,6 +40,7 @@ from softrender.scene import (
     Scene,
     SceneNode,
     duplicate_scene_geometry,
+    mesh_instances,
     refresh_world_transforms,
 )
 from softrender.shading import linear_to_srgb, reinhard_tonemap
@@ -580,8 +581,8 @@ def test_singular_draw_transform_raises_naming_the_node():
 def test_worker_count_does_not_change_output():
     scene = make_shadow_scene()
     refresh_world_transforms(scene)
-    blases = build_scene_blases(scene)
-    tlas = build_tlas(make_tlas_instances(scene, blases), frame_index=0)
+    names, geometry, _ = mesh_instances(scene)
+    tlas = build_tlas([scene.world[n] for n in names], geometry, build_scene_blases(scene), names)
     images = []
     for workers in (1, 3, 7):
         cfg = config(width=72, height=60, msaa=4, shadows=True, workers=workers)
@@ -611,7 +612,9 @@ def test_main_pass_corpus_matches_pinned_sha256(bench_gltf):
     for d in range(3):
         scene = duplicate_scene_geometry(base, d)
         refresh_world_transforms(scene)
-        tlas = build_tlas(make_tlas_instances(scene, build_scene_blases(scene)), frame_index=0)
+        names, geometry, _ = mesh_instances(scene)
+        tlas = build_tlas([scene.world[n] for n in names], geometry, build_scene_blases(scene),
+                          names)
         for msaa in (1, 4, 8):
             for shadows in (False, True):
                 for workers in (1, 3):

@@ -23,7 +23,6 @@ from softrender.scene import (
     Scene,
     SceneNode,
     WorldTable,
-    apply_transform_table,
     compute_world_transforms,
     duplicate_scene_geometry,
     refresh_world_transforms,
@@ -32,12 +31,6 @@ from softrender.scene import (
     scene_world_aabb,
     validate_scene,
 )
-
-
-class FakeSnapshot:
-    def __init__(self, entries, generation=2):
-        self.entries = entries
-        self.generation = generation
 
 
 def chain_scene():
@@ -153,8 +146,7 @@ def test_validate_rejects_dangling_material_reference():
 def test_apply_identity_snapshot_sets_identity_world():
     scene = chain_scene()
     refresh_world_transforms(scene)
-    unmatched = apply_transform_table(
-        scene, FakeSnapshot([("leaf", np.eye(4))]))
+    unmatched = WorldTable(scene).apply(TransformSnapshot(2, [("leaf", np.eye(4))]))
     assert unmatched == 0
     np.testing.assert_array_equal(scene.world["leaf"], np.eye(4))
     # hierarchy deliberately bypassed: parents untouched
@@ -165,8 +157,7 @@ def test_apply_unknown_name_counts_unmatched_and_changes_nothing():
     scene = chain_scene()
     refresh_world_transforms(scene)
     before = {k: v.copy() for k, v in scene.world.items()}
-    unmatched = apply_transform_table(
-        scene, FakeSnapshot([("phantom", translate(9, 9, 9))]))
+    unmatched = WorldTable(scene).apply(TransformSnapshot(2, [("phantom", translate(9, 9, 9))]))
     assert unmatched == 1
     for name, mat in before.items():
         np.testing.assert_array_equal(scene.world[name], mat)
@@ -176,7 +167,7 @@ def test_apply_copies_matrix_not_reference():
     scene = chain_scene()
     refresh_world_transforms(scene)
     m = translate(4, 5, 6)
-    apply_transform_table(scene, FakeSnapshot([("root", m)]))
+    WorldTable(scene).apply(TransformSnapshot(2, [("root", m)]))
     m[0, 3] = 99.0
     assert scene.world["root"][0, 3] == 4.0
 
@@ -184,9 +175,9 @@ def test_apply_copies_matrix_not_reference():
 def test_apply_name_given_twice_ends_at_its_last_matrix():
     scene = chain_scene()
     refresh_world_transforms(scene)
-    unmatched = apply_transform_table(scene, FakeSnapshot([("root", translate(1, 2, 3)),
-                                                           ("leaf", np.eye(4)),
-                                                           ("root", translate(4, 5, 6))]))
+    unmatched = WorldTable(scene).apply(TransformSnapshot(2, [("root", translate(1, 2, 3)),
+                                                              ("leaf", np.eye(4)),
+                                                              ("root", translate(4, 5, 6))]))
     assert unmatched == 0
     np.testing.assert_array_equal(scene.world["root"], translate(4, 5, 6))
     np.testing.assert_array_equal(scene.world["leaf"], np.eye(4))
@@ -199,8 +190,8 @@ def test_apply_rejects_bad_matrix_before_writing_any(bad):
     refresh_world_transforms(scene)
     before = {k: v.copy() for k, v in scene.world.items()}
     with pytest.raises(ValidationError):
-        apply_transform_table(scene, FakeSnapshot([("root", translate(7, 7, 7)),
-                                                   ("leaf", bad)]))
+        WorldTable(scene).apply(TransformSnapshot(2, [("root", translate(7, 7, 7)),
+                                                      ("leaf", bad)]))
     for name, mat in before.items():
         np.testing.assert_array_equal(scene.world[name], mat)
 
@@ -298,6 +289,34 @@ def test_duplicate_clones_spread_out():
     centers = np.asarray(centers)
     # all 4 instances at distinct positions
     assert len(np.unique(np.round(centers, 6), axis=0)) == len(centers)
+
+
+def test_duplicate_skips_instances_of_geometry_without_vertices():
+    """Such a node is drawn and traced as absent, so it adds no bounds: the
+    clones sit where they sit without it."""
+    bare = make_shadow_scene()
+    scene = make_shadow_scene()
+    scene.geometries.append(MeshGeometry(positions=np.zeros((0, 3)), normals=np.zeros((0, 3)),
+                                         uvs=np.zeros((0, 2)), triangles=np.zeros((0, 3))))
+    scene.nodes.append(SceneNode(name="hollow", parent=None, local=translate(9.0, 9.0, 9.0),
+                                 mesh_instance=(len(scene.geometries) - 1, 0)))
+    for s in (bare, scene):
+        refresh_world_transforms(s)
+    for got, want in zip(scene_world_aabb(scene), scene_world_aabb(bare)):
+        np.testing.assert_array_equal(got, want)
+    out, want = duplicate_scene_geometry(scene, 1), duplicate_scene_geometry(bare, 1)
+    assert "hollow~1" in out.world
+    for name, mat in want.world.items():
+        np.testing.assert_array_equal(out.world[name], mat)
+
+
+def test_duplicate_clone_name_collision_is_validation_error():
+    scene = make_triangle_scene()
+    scene.nodes.append(SceneNode(name="a", parent=None, local=np.eye(4), mesh_instance=(0, 0)))
+    scene.nodes.append(SceneNode(name="a~1", parent=None, local=np.eye(4), mesh_instance=(0, 0)))
+    refresh_world_transforms(scene)
+    with pytest.raises(ValidationError, match="clone name collision 'a~1'"):
+        duplicate_scene_geometry(scene, 1)
 
 
 # ------------------------------------------------------- bounds

@@ -1,11 +1,17 @@
-"""Repository tooling tests: the scripts under tools/ reproduce what is checked in."""
+"""Repository tooling tests: the scripts under tools/ reproduce what is checked
+in, and the scripts under demos/ still import."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import softrender
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_make_scenes_reproduces_the_checked_in_assets(tmp_path, repo_root, scenes_dir):
@@ -21,3 +27,12 @@ def test_make_scenes_reproduces_the_checked_in_assets(tmp_path, repo_root, scene
     assert made == ["bench.gltf", "demo.gltf", "triangle.gltf"]
     for name in made:
         assert (tmp_path / name).read_bytes() == (scenes_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (REPO_ROOT / "demos").glob("*.py")))
+def test_demo_imports(script):
+    # a demo does its work only under __main__, so importing it checks just that
+    # every name it imports from the package still exists
+    spec = importlib.util.spec_from_file_location(f"demo_{Path(script).stem}",
+                                                  REPO_ROOT / "demos" / script)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
