@@ -9,8 +9,7 @@ on the CPU and every output is reproducible byte for byte.
 """
 
 from .accel import (
-    Aabb, Blas, Hit, Ray, Tlas, blas_signature,
-    brute_force_closest_hit, build_blas, build_tlas, compact_blas,
+    Blas, Hit, Ray, Tlas, blas_signature, build_blas, build_tlas, compact_blas,
     ray_any_hit, ray_closest_hit, serialize_blas, shadow_mask, shadow_visibility,
 )
 from .bench import BENCH_CSV_HEADER, BenchRecord, bench_csv, default_bench_config, run_bench

@@ -56,29 +56,6 @@ def _surface_area(extent: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class Aabb:
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=np.float64)
-        self.hi = np.asarray(self.hi, dtype=np.float64)
-
-    def union(self, other: "Aabb") -> "Aabb":
-        return Aabb(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
-
-    def contains_box(self, other: "Aabb", eps: float = 1e-12) -> bool:
-        return bool(np.all(other.lo >= self.lo - eps) and np.all(other.hi <= self.hi + eps))
-
-    def surface_area(self) -> float:
-        return float(_surface_area(self.hi - self.lo))
-
-    def corners(self) -> np.ndarray:
-        """(8, 3) corner points."""
-        return np.where(_CORNER_IS_HI, self.hi, self.lo)
-
-
-@dataclass
 class Ray:
     origin: np.ndarray
     direction: np.ndarray  # need not be unit length; t is in these units
@@ -240,10 +217,6 @@ class _Nodes:
     node_right: np.ndarray
     node_start: np.ndarray  # >= 0 marks a leaf
     node_count: np.ndarray
-
-    @property
-    def root_aabb(self) -> Aabb:
-        return Aabb(self.node_lo[0].copy(), self.node_hi[0].copy())
 
 
 def _preorder(nodes: _Nodes):
@@ -523,66 +496,6 @@ def shadow_mask(tlas: Tlas, points, normals, light_pos) -> np.ndarray:
 def shadow_visibility(tlas: Tlas, point, normal, light_pos) -> float:
     """shadow_mask of one point."""
     return float(shadow_mask(tlas, [point], [normal], light_pos)[0])
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle with the identical query contract.
-
-def all_world_triangles(tlas: Tlas):
-    """((K, 3, 3) world vertices, (K,) instance ids, (K,) triangle indices)."""
-    verts, inst_ids, tri_ids = [], [], []
-    for i, m, inst_id in zip(tlas.blas_index, tlas.transforms, tlas.instance_ids):
-        blas = tlas.blases[i]
-        base = blas.v0
-        b = blas.v0 + blas.e1
-        c = blas.v0 + blas.e2
-        w0 = base @ m[:3, :3].T + m[:3, 3]
-        w1 = b @ m[:3, :3].T + m[:3, 3]
-        w2 = c @ m[:3, :3].T + m[:3, 3]
-        tri_world = np.stack([w0, w1, w2], axis=1)
-        # undo the build permutation so triangle ids match geometry order
-        inv_order = np.argsort(blas.tri_order, kind="stable")
-        verts.append(tri_world[inv_order])
-        inst_ids.append(np.full(len(base), inst_id, dtype=np.int64))
-        tri_ids.append(np.arange(len(base), dtype=np.int64))
-    if not verts:
-        return np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(verts), np.concatenate(inst_ids), np.concatenate(tri_ids)
-
-
-def brute_force_closest_hit(tlas: Tlas, ray: Ray) -> Hit | None:
-    """Test every world-space triangle; same contract as ray_closest_hit.
-
-    Kept deliberately independent of the tree walk: triangles are
-    transformed to world space and intersected there, so agreement with
-    the BVH path is a real cross-check rather than a shared code path.
-    """
-    tris, inst_ids, tri_ids = all_world_triangles(tlas)
-    if len(tris) == 0:
-        return None
-    o, d = ray.origin, ray.direction
-    v0 = tris[:, 0]
-    e1 = tris[:, 1] - v0
-    e2 = tris[:, 2] - v0
-    pvec = np.cross(d, e2)
-    det = np.einsum("ij,ij->i", e1, pvec)
-    ok = np.abs(det) > EPSILON_INTERSECT
-    inv_det = np.where(ok, 1.0 / np.where(det == 0.0, 1.0, det), 0.0)
-    tvec = o - v0
-    u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
-    ok &= (u >= 0.0) & (u <= 1.0)
-    qvec = np.cross(tvec, e1)
-    v = (qvec @ d) * inv_det
-    ok &= (v >= 0.0) & (u + v <= 1.0)
-    t = np.einsum("ij,ij->i", e2, qvec) * inv_det
-    ok &= (t >= ray.t_min) & (t <= ray.t_max)
-    if not np.any(ok):
-        return None
-    cand = np.nonzero(ok)[0]
-    keys = sorted(cand, key=lambda i: (t[i], inst_ids[i], tri_ids[i]))
-    i = keys[0]
-    return Hit(t=float(t[i]), instance_id=int(inst_ids[i]),
-               triangle_index=int(tri_ids[i]), u=float(u[i]), v=float(v[i]))
 
 
 # ---------------------------------------------------------------------------

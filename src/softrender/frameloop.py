@@ -8,11 +8,12 @@ while a frame in flight may still use it.  A third, loop-lifetime queue
 runs finalizers in reverse push order so dependents are released before
 what they depend on.
 
-Before the first frame the loop builds one BLAS per geometry (a list
-indexed by geometry id), puts every world transform into one WorldTable
-(scene.world's entries for posed names become views of its rows) and
-sorts the draws, once per loop: the node set does not change within a
-loop, only the poses do.
+Before the first frame the loop checks the scene's references once
+(check_references, on the mesh arrays it draws from), puts every world
+transform into one WorldTable (scene.world's entries for posed names
+become views of its rows), builds one BLAS per geometry (a list indexed
+by geometry id) and sorts the draws, once per loop: the node set does
+not change within a loop, only the poses do.
 
 Frame order: flush slot queue -> apply external poses to the table ->
 rebuild TLAS from the table's mesh rows (build_tlas over their matrices,
@@ -51,7 +52,7 @@ from .framebuffer import SAMPLE_POSITIONS, create_framebuffer, resolve_msaa, wri
 from .fxaa import fxaa_pass
 from .overlay import overlay_pass
 from .raster import main_pass, select_camera, sort_draws
-from .scene import Scene, WorldTable, mesh_instances, refresh_world_transforms
+from .scene import Scene, WorldTable, check_references, mesh_instances, refresh_world_transforms
 
 SLOT_COUNT = 2
 
@@ -207,6 +208,11 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     scene.world shows the frame's poses then, and must not be written.
     With output_prefix set, every frame is also written to
     '{prefix}-frame-{index:04d}.{format}'.
+    Before any work, ValidationError for a repeated node name, a mesh node
+    whose geometry or material id is outside its container (a negative one
+    too), a camera on a missing node, a mesh node with no scene.world entry
+    and, when scene.world is empty and so computed here, a missing parent or
+    a cycle; ConfigurationError for no camera, or none on config.camera.
     With two frames in flight, an error in frame f's display stage (an
     image write that fails, say) is raised at frame f + 1's slot fence,
     after its main pass, or when the loop ends; no later frame starts,
@@ -214,11 +220,15 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     """
     if not scene.world:
         refresh_world_transforms(scene)
-    select_camera(scene, config.camera)  # fail before any work if absent
-    blases = build_scene_blases(scene)
-    table = WorldTable(scene)
     names, geometry, material = mesh_instances(scene)
-    rows = np.fromiter(map(table.rows.__getitem__, names), np.int64, len(names))
+    check_references(scene, names, geometry, material)  # fail before any work
+    select_camera(scene, config.camera)
+    table = WorldTable(scene)
+    try:
+        rows = np.fromiter(map(table.rows.__getitem__, names), np.int64, len(names))
+    except KeyError as exc:
+        raise ValidationError(f"mesh node '{exc.args[0]}' has no world transform") from None
+    blases = build_scene_blases(scene)
     draws = sort_draws(names, geometry, material, table.matrices[rows])
     triangles = scene.total_triangles()  # the overlay's; poses do not change it
     resources = FrameResources(config)

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ParseError, UnsupportedFeatureError, ValidationError
 from .linalg import compose_trs, mat_from_column_major, normalize
 from .scene import (Camera, MaterialPbr, MeshGeometry, PointLight, Scene, SceneNode,
-                    check_invertible)
+                    check_invertible, check_unique_names)
 
 _COMPONENT_DTYPES = {
     5120: ("<i1", 1),
@@ -333,9 +333,7 @@ def parse_gltf_subset(data, base_dir=None) -> Scene:
     names = []
     for i, nd in enumerate(node_defs):
         names.append(nd.get("name") or f"node{i}")
-    if len(set(names)) != len(names):
-        dup = sorted({n for n in names if names.count(n) > 1})[0]
-        raise ValidationError(f"duplicate node name '{dup}'")
+    check_unique_names(names)
 
     scenes = doc.get("scenes")
     if not scenes:

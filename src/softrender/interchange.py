@@ -98,11 +98,6 @@ def _decode_matrices(records) -> np.ndarray:
     return records["matrix"].reshape(-1, 4, 4).transpose(0, 2, 1).astype(np.float64)
 
 
-def _decode_records(buf: bytes, node_count: int):
-    records = np.frombuffer(buf, dtype=_RECORD, count=node_count)
-    return list(zip(_decode_names(records), _decode_matrices(records)))
-
-
 class TransformSnapshot:
     """One stable frame of the table: names and their (N, 4, 4) float64
     world transforms, matrices.

@@ -13,13 +13,6 @@ import math
 
 import numpy as np
 
-IDENTITY4 = np.eye(4, dtype=np.float64)
-
-
-def vec3(x, y, z) -> np.ndarray:
-    return np.array([x, y, z], dtype=np.float64)
-
-
 def normalize(v: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(v, axis=-1, keepdims=True)
     return v / np.where(n == 0.0, 1.0, n)

@@ -10,6 +10,7 @@ matrices, so recomputing from the hierarchy afterwards would be wrong).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,26 +132,35 @@ def mesh_instances(scene: Scene) -> tuple[list[str], np.ndarray, np.ndarray]:
     return [n.name for n in mesh], geometry, material
 
 
-def validate_scene(scene: Scene) -> None:
-    """Check container references, unique names, and the forest property."""
-    names = [n.name for n in scene.nodes]
-    if len(set(names)) != len(names):
-        dup = sorted({n for n in names if names.count(n) > 1})[0]
+def check_unique_names(names: list) -> set:
+    """The set of names; ValidationError naming the first duplicate, in sort order."""
+    unique = set(names)
+    if len(unique) != len(names):
+        dup = min(n for n, count in Counter(names).items() if count > 1)
         raise ValidationError(f"duplicate node name '{dup}'")
-    name_set = set(names)
-    for n in scene.nodes:
-        if n.parent is not None and n.parent not in name_set:
-            raise ValidationError(f"node '{n.name}' references missing parent '{n.parent}'")
-        if n.mesh_instance is not None:
-            gid, mid = n.mesh_instance
-            if not (0 <= gid < len(scene.geometries)):
-                raise ValidationError(f"node '{n.name}' references missing geometry {gid}")
-            if not (0 <= mid < len(scene.materials)):
-                raise ValidationError(f"node '{n.name}' references missing material {mid}")
+    return unique
+
+
+def check_references(scene: Scene, mesh_names, geometry, material) -> None:
+    """ValidationError unless node names are unique, every mesh node's ids
+    index the geometry and material containers, and every camera's node
+    exists; mesh_names, geometry and material are mesh_instances(scene)."""
+    names = check_unique_names([n.name for n in scene.nodes])
+    for what, ids, count in (("geometry", geometry, len(scene.geometries)),
+                             ("material", material, len(scene.materials))):
+        bad = (ids < 0) | (ids >= count)
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValidationError(f"node '{mesh_names[k]}' references missing {what} {ids[k]}")
     for cam in scene.cameras:
-        if cam.node not in name_set:
+        if cam.node not in names:
             raise ValidationError(f"camera references missing node '{cam.node}'")
-    compute_world_transforms(scene)  # raises on parent cycles
+
+
+def validate_scene(scene: Scene) -> None:
+    """check_references, then the forest property: parents exist, no cycles."""
+    check_references(scene, *mesh_instances(scene))
+    compute_world_transforms(scene)
 
 
 def compute_world_transforms(scene: Scene) -> dict[str, np.ndarray]:

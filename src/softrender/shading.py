@@ -86,11 +86,6 @@ class BrdfParams:
     f0: np.ndarray       # (..., 3) normal-incidence reflectance
     alpha: np.ndarray    # (...,) roughness in (0, 1]
 
-    @property
-    def h(self) -> np.ndarray:
-        return normalize(np.asarray(self.omega_i, dtype=np.float64)
-                         + np.asarray(self.omega_o, dtype=np.float64))
-
 
 def cook_torrance_specular(p: BrdfParams) -> np.ndarray:
     """Specular lobe  D * F * G / (4 (omega_o . n)(omega_i . n)).
@@ -98,22 +93,27 @@ def cook_torrance_specular(p: BrdfParams) -> np.ndarray:
     Zero whenever light or viewer is at/below the horizon; the
     denominator carries a 1e-6 guard.
     """
-    n = np.asarray(p.n, dtype=np.float64)
-    wi = np.asarray(p.omega_i, dtype=np.float64)
-    wo = np.asarray(p.omega_o, dtype=np.float64)
-    h = p.h
+    return _specular_and_fresnel(
+        np.asarray(p.n, dtype=np.float64), np.asarray(p.omega_i, dtype=np.float64),
+        np.asarray(p.omega_o, dtype=np.float64), np.asarray(p.f0, dtype=np.float64),
+        p.alpha)[0]
+
+
+def _specular_and_fresnel(n, wi, wo, f0, alpha):
+    """(cook_torrance_specular's lobe, its Fresnel term F) for float64 arrays."""
+    h = normalize(wi + wo)
     n_dot_l = np.sum(n * wi, axis=-1)
     n_dot_v = np.sum(n * wo, axis=-1)
     n_dot_h = np.sum(n * h, axis=-1)
     h_dot_l = np.sum(h * wi, axis=-1)
 
-    d = ggx_ndf(n_dot_h, p.alpha)
-    f = fresnel_schlick(h_dot_l, np.asarray(p.f0, dtype=np.float64))
-    g = smith_g(n_dot_v, n_dot_l, p.alpha)
+    d = ggx_ndf(n_dot_h, alpha)
+    f = fresnel_schlick(h_dot_l, f0)
+    g = smith_g(n_dot_v, n_dot_l, alpha)
     denom = 4.0 * n_dot_v * n_dot_l + _DENOM_EPS
     spec = (d * g / denom)[..., None] * f
     above = ((n_dot_l > 0.0) & (n_dot_v > 0.0))[..., None]
-    return np.where(above, spec, 0.0)
+    return np.where(above, spec, 0.0), f
 
 
 @dataclass
@@ -159,10 +159,7 @@ def shade_direct(sample: ShadingSample, lights) -> np.ndarray:
         wi = to_light / np.sqrt(dist2)[..., None]
         n_dot_l = np.sum(n * wi, axis=-1)
 
-        spec = cook_torrance_specular(
-            BrdfParams(n=n, omega_i=wi, omega_o=wo, f0=f0, alpha=alpha))
-        h = normalize(wi + wo)
-        f = fresnel_schlick(np.sum(h * wi, axis=-1), f0)
+        spec, f = _specular_and_fresnel(n, wi, wo, f0, alpha)
         k_d = (1.0 - f) * (1.0 - metallic)[..., None]
         brdf = k_d * base / np.pi + spec
 

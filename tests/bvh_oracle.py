@@ -1,15 +1,20 @@
-"""Reference binned-SAH build: one node at a time, one split search per node.
+"""The tests' accel oracles: a per-node BVH build and a brute-force ray scan.
 
-This is the build accel's level-synchronous _build_bvh_levels must
-reproduce bit for bit: the same node boxes, split choices, node
+The reference binned-SAH build runs one node at a time, one split search
+per node.  This is the build accel's level-synchronous _build_bvh_levels
+must reproduce bit for bit: the same node boxes, split choices, node
 numbering and element order.  The split search and every helper it uses
 are kept here as they were when this build ran in the program, so a
 change to accel's helpers cannot move the reference along with it.
+
+The brute-force scan answers closest-hit queries with the contract of
+accel.ray_closest_hit; it keeps its own Moller-Trumbore and never calls
+accel's walk.
 """
 
 import numpy as np
 
-from softrender.accel import SAH_BINS
+from softrender.accel import EPSILON_INTERSECT, SAH_BINS, Hit
 
 
 def _build_bvh(box_lo: np.ndarray, box_hi: np.ndarray, leaf_max: int):
@@ -145,3 +150,60 @@ def _min_at(rows: int, key: np.ndarray, values: np.ndarray) -> np.ndarray:
     table = np.full(rows * c, np.inf)
     np.minimum.at(table, (key[:, None] * c + np.arange(c)).ravel(), values.ravel())
     return table.reshape(rows, c)
+
+
+def all_world_triangles(tlas):
+    """((K, 3, 3) world vertices, (K,) instance ids, (K,) triangle indices)."""
+    verts, inst_ids, tri_ids = [], [], []
+    for i, m, inst_id in zip(tlas.blas_index, tlas.transforms, tlas.instance_ids):
+        blas = tlas.blases[i]
+        base = blas.v0
+        b = blas.v0 + blas.e1
+        c = blas.v0 + blas.e2
+        w0 = base @ m[:3, :3].T + m[:3, 3]
+        w1 = b @ m[:3, :3].T + m[:3, 3]
+        w2 = c @ m[:3, :3].T + m[:3, 3]
+        tri_world = np.stack([w0, w1, w2], axis=1)
+        # undo the build permutation so triangle ids match geometry order
+        inv_order = np.argsort(blas.tri_order, kind="stable")
+        verts.append(tri_world[inv_order])
+        inst_ids.append(np.full(len(base), inst_id, dtype=np.int64))
+        tri_ids.append(np.arange(len(base), dtype=np.int64))
+    if not verts:
+        return np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(verts), np.concatenate(inst_ids), np.concatenate(tri_ids)
+
+
+def brute_force_closest_hit(tlas, ray) -> Hit | None:
+    """Test every world-space triangle; same contract as accel.ray_closest_hit.
+
+    Kept deliberately independent of the tree walk: triangles are
+    transformed to world space and intersected there, so agreement with
+    the BVH path is a real cross-check rather than a shared code path.
+    """
+    tris, inst_ids, tri_ids = all_world_triangles(tlas)
+    if len(tris) == 0:
+        return None
+    o, d = ray.origin, ray.direction
+    v0 = tris[:, 0]
+    e1 = tris[:, 1] - v0
+    e2 = tris[:, 2] - v0
+    pvec = np.cross(d, e2)
+    det = np.einsum("ij,ij->i", e1, pvec)
+    ok = np.abs(det) > EPSILON_INTERSECT
+    inv_det = np.where(ok, 1.0 / np.where(det == 0.0, 1.0, det), 0.0)
+    tvec = o - v0
+    u = np.einsum("ij,ij->i", tvec, pvec) * inv_det
+    ok &= (u >= 0.0) & (u <= 1.0)
+    qvec = np.cross(tvec, e1)
+    v = (qvec @ d) * inv_det
+    ok &= (v >= 0.0) & (u + v <= 1.0)
+    t = np.einsum("ij,ij->i", e2, qvec) * inv_det
+    ok &= (t >= ray.t_min) & (t <= ray.t_max)
+    if not np.any(ok):
+        return None
+    cand = np.nonzero(ok)[0]
+    keys = sorted(cand, key=lambda i: (t[i], inst_ids[i], tri_ids[i]))
+    i = keys[0]
+    return Hit(t=float(t[i]), instance_id=int(inst_ids[i]),
+               triangle_index=int(tri_ids[i]), u=float(u[i]), v=float(v[i]))

@@ -1,7 +1,7 @@
 """Acceleration-structure tests.
 
 The headline check pits the two-level BVH traversal against two
-independent oracles: the module's own world-space brute-force scan
+independent oracles: the world-space brute-force scan in bvh_oracle
 (different arithmetic path), and a 3x3-linear-solve ray/triangle
 intersector implemented in this file.
 """
@@ -16,18 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bvh_oracle
+from bvh_oracle import all_world_triangles, brute_force_closest_hit
 
 from softrender import accel
 from softrender.accel import (
     LEAF_MAX_INSTANCES,
     LEAF_MAX_TRIS,
     SHADOW_OFFSET,
-    Aabb,
     Ray,
-    all_world_triangles,
     blas_dump_text,
     blas_signature,
-    brute_force_closest_hit,
     build_blas,
     build_tlas,
     compact_blas,
@@ -102,26 +100,6 @@ def solve_oracle_closest(tlas, ray, closed=True):
     return best
 
 
-# ---------------------------------------------------------------- Aabb
-
-def test_aabb_union_and_area():
-    a = Aabb([0, 0, 0], [1, 1, 1])
-    b = Aabb([2, -1, 0], [3, 0, 1])
-    u = a.union(b)
-    np.testing.assert_array_equal(u.lo, [0, -1, 0])
-    np.testing.assert_array_equal(u.hi, [3, 1, 1])
-    assert a.surface_area() == pytest.approx(6.0)
-    assert Aabb([0, 0, 0], [1, 2, 3]).surface_area() == pytest.approx(22.0)
-
-
-def test_aabb_corners_cover_extremes():
-    box = Aabb([-1, 2, 3], [4, 5, 6])
-    c = box.corners()
-    assert c.shape == (8, 3)
-    np.testing.assert_array_equal(c.min(axis=0), box.lo)
-    np.testing.assert_array_equal(c.max(axis=0), box.hi)
-
-
 # ---------------------------------------------------------------- BLAS build
 
 def test_single_triangle_single_leaf():
@@ -155,14 +133,14 @@ def test_blas_node_boxes_contain_children():
     tri_lo = np.minimum(np.minimum(v0, pos[tri[:, 1]]), pos[tri[:, 2]])
     tri_hi = np.maximum(np.maximum(v0, pos[tri[:, 1]]), pos[tri[:, 2]])
     for ni in range(blas.node_total):
-        box = Aabb(blas.node_lo[ni], blas.node_hi[ni])
         if blas.node_count[ni] == 0:
-            for child in (int(blas.node_left[ni]), int(blas.node_right[ni])):
-                assert box.contains_box(Aabb(blas.node_lo[child], blas.node_hi[child]))
+            inside = [int(blas.node_left[ni]), int(blas.node_right[ni])]
+            lo, hi = blas.node_lo[inside], blas.node_hi[inside]
         else:
             s, c = int(blas.node_start[ni]), int(blas.node_count[ni])
-            for t in blas.tri_order[s:s + c]:
-                assert box.contains_box(Aabb(tri_lo[t], tri_hi[t]))
+            inside = blas.tri_order[s:s + c]
+            lo, hi = tri_lo[inside], tri_hi[inside]
+        assert np.all(lo >= blas.node_lo[ni] - 1e-12) and np.all(hi <= blas.node_hi[ni] + 1e-12)
 
 
 def test_blas_every_node_reachable_exactly_once():
@@ -235,8 +213,8 @@ def test_single_identity_instance_tlas_root_equals_blas_root():
     pos, tri = triangle_soup(rng, 64)
     blas = build_blas(pos, tri)
     tlas = build_tlas([np.eye(4)], [0], [blas], ["n"])
-    np.testing.assert_allclose(tlas.root_aabb.lo, blas.root_aabb.lo)
-    np.testing.assert_allclose(tlas.root_aabb.hi, blas.root_aabb.hi)
+    np.testing.assert_allclose(tlas.node_lo[0], blas.node_lo[0])
+    np.testing.assert_allclose(tlas.node_hi[0], blas.node_hi[0])
 
 
 def test_tlas_world_bounds_cover_transformed_vertices():
@@ -467,7 +445,7 @@ def test_any_hit_matches_linear_solve_oracle_on_finite_segments():
         end = ray.origin + ray.t_max * ray.direction
         if first is not None and ray.t_max < first[0]:
             ends_before += 1
-        elif np.all(end >= tlas.root_aabb.lo) and np.all(end <= tlas.root_aabb.hi):
+        elif np.all(end >= tlas.node_lo[0]) and np.all(end <= tlas.node_hi[0]):
             ends_inside += 1
     # both kinds of segment occur: stopping short of the first triangle,
     # and stopping inside the soup's bounds

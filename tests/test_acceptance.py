@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from bvh_oracle import brute_force_closest_hit
 from softrender.accel import (
     Ray,
-    brute_force_closest_hit,
     build_blas,
     build_tlas,
     compact_blas,

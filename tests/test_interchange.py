@@ -35,7 +35,9 @@ from softrender.interchange import (
     RECORD_SIZE,
     VERSION,
     TransformSnapshot,
-    _decode_records,
+    _RECORD,
+    _decode_matrices,
+    _decode_names,
     attach_table,
     create_table,
     physics_stub_step,
@@ -327,8 +329,10 @@ def test_reader_snapshots_equal_a_full_decode_of_their_bytes(region_name):
         taken = []
         for tick in range(5):
             writer.write_frame(physics_stub_step(3 * tick, names))
-            raw = writer.path.read_bytes()[HEADER_SIZE:]
-            taken.append((reader.read_frame(), _decode_records(raw, len(names))))
+            records = np.frombuffer(writer.path.read_bytes()[HEADER_SIZE:], dtype=_RECORD,
+                                    count=len(names))
+            taken.append((reader.read_frame(),
+                          list(zip(_decode_names(records), _decode_matrices(records)))))
     finally:
         reader.close()
         writer.close()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from softrender.linalg import (
-    IDENTITY4,
     compose_trs,
     mat_from_column_major,
     mat_to_column_major,
@@ -18,7 +17,6 @@ from softrender.linalg import (
     rotate_z,
     scale,
     translate,
-    vec3,
 )
 
 
@@ -45,7 +43,7 @@ def test_rotation_matrices_are_orthonormal():
 
 
 def test_quat_identity_and_half_turns():
-    np.testing.assert_allclose(quat_to_matrix([0, 0, 0, 1]), IDENTITY4, atol=1e-15)
+    np.testing.assert_allclose(quat_to_matrix([0, 0, 0, 1]), np.eye(4), atol=1e-15)
     # quaternion (x,y,z,w) for a half turn about Z is (0,0,1,0)
     np.testing.assert_allclose(quat_to_matrix([0, 0, 1, 0]), rotate_z(math.pi),
                                atol=1e-15)
@@ -120,6 +118,6 @@ def test_mat_from_column_major_rejects_wrong_length():
 
 
 def test_vec3_and_normalize():
-    v = vec3(3.0, 0.0, 4.0)
+    v = np.array([3.0, 0.0, 4.0])
     assert v.shape == (3,)
     np.testing.assert_allclose(normalize(v), [0.6, 0.0, 0.8], atol=1e-15)

@@ -1,12 +1,15 @@
 """Scene container, transform propagation, duplication, and dump tests."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from softrender import frameloop
 from softrender import scene as scene_module
 from softrender.errors import SceneError, ValidationError
+from softrender.frameloop import RenderConfig, run_frame_loop
 from softrender.interchange import TransformSnapshot
 from softrender.linalg import rotate_x, rotate_y, rotate_z, translate
 from softrender.procedural import (
@@ -113,32 +116,41 @@ def test_validate_accepts_good_scene():
     validate_scene(_valid_mesh_scene())
 
 
-def test_validate_rejects_duplicate_names():
-    scene = _valid_mesh_scene()
-    scene.nodes.append(SceneNode(name="box", parent=None, local=np.eye(4)))
+def _node(name, mesh_instance=None, parent=None):
+    return SceneNode(name=name, parent=parent, local=np.eye(4), mesh_instance=mesh_instance)
+
+
+# each case puts one fault into make_shadow_scene(); True where validate_scene
+# catches it too (it recomputes the world transforms, so a stale scene.world is
+# no fault to it)
+_BAD_SCENES = {
+    "duplicate_name": (lambda s: s.nodes.append(_node("blocker")), True),
+    "missing_parent": (lambda s: s.nodes.append(_node("orphan", parent="ghost")), True),
+    "geometry_99": (lambda s: s.nodes.append(_node("extra", (99, 0))), True),
+    "material_99": (lambda s: s.nodes.append(_node("extra", (0, 99))), True),
+    "geometry_-1": (lambda s: s.nodes.append(_node("extra", (-1, 0))), True),
+    "material_-1": (lambda s: s.nodes.append(_node("extra", (0, -1))), True),
+    "camera_on_missing_node": (lambda s: s.cameras.insert(0, Camera(
+        node="ghost", vertical_fov=1.0, near=0.1, far=10.0)), True),
+    "mesh_node_without_world": (lambda s: s.nodes.append(_node("extra", (1, 1))), False),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SCENES))
+def test_validate_rejects_bad_scene(case, monkeypatch):
+    change, checked = _BAD_SCENES[case]
+    scene = make_shadow_scene()
+    change(scene)
+    if checked:
+        with pytest.raises(ValidationError):
+            validate_scene(scene)
+        scene.world = {}  # the loop computes it, as for a scene not yet refreshed
+    monkeypatch.setattr(frameloop, "build_scene_blases",
+                        lambda scene: pytest.fail("the loop started work on a bad scene"))
+    cfg = RenderConfig(width=16, height=12, msaa=1, fxaa=False, overlay=False)
     with pytest.raises(ValidationError):
-        validate_scene(scene)
-
-
-def test_validate_rejects_missing_parent():
-    scene = _valid_mesh_scene()
-    scene.nodes[0].parent = "ghost"
-    with pytest.raises(ValidationError):
-        validate_scene(scene)
-
-
-def test_validate_rejects_dangling_geometry_reference():
-    scene = _valid_mesh_scene()
-    scene.nodes[0].mesh_instance = (5, 0)
-    with pytest.raises(ValidationError):
-        validate_scene(scene)
-
-
-def test_validate_rejects_dangling_material_reference():
-    scene = _valid_mesh_scene()
-    scene.nodes[0].mesh_instance = (0, 9)
-    with pytest.raises(ValidationError):
-        validate_scene(scene)
+        run_frame_loop(scene, cfg, 1)
+    assert not [t for t in threading.enumerate() if t.name.startswith("softrender-display")]
 
 
 # ------------------------------------------------------- pose application

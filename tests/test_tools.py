@@ -1,5 +1,5 @@
 """Repository tooling tests: the scripts under tools/ reproduce what is checked
-in, and the scripts under demos/ still import."""
+in, and the scripts under demos/ and framebench/ still import."""
 
 import importlib.util
 import os
@@ -35,4 +35,16 @@ def test_demo_imports(script):
     # every name it imports from the package still exists
     spec = importlib.util.spec_from_file_location(f"demo_{Path(script).stem}",
                                                   REPO_ROOT / "demos" / script)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_framebench_imports(monkeypatch):
+    # --help runs every import of run.py (spans.py included) and stops; writer.py
+    # does its work only under __main__, so importing it checks just its imports
+    proc = subprocess.run([sys.executable, str(REPO_ROOT / "framebench" / "run.py"), "--help"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(sys, "path", list(sys.path))  # writer.py prepends the repo's src
+    spec = importlib.util.spec_from_file_location("framebench_writer",
+                                                  REPO_ROOT / "framebench" / "writer.py")
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
