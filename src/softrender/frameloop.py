@@ -51,7 +51,7 @@ from .errors import ConfigurationError, ValidationError
 from .framebuffer import SAMPLE_POSITIONS, create_framebuffer, resolve_msaa, write_image
 from .fxaa import fxaa_pass
 from .overlay import overlay_pass
-from .raster import main_pass, select_camera, sort_draws
+from .raster import camera_world, main_pass, select_camera, sort_draws
 from .scene import Scene, WorldTable, check_references, mesh_instances, refresh_world_transforms
 
 SLOT_COUNT = 2
@@ -210,9 +210,10 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     '{prefix}-frame-{index:04d}.{format}'.
     Before any work, ValidationError for a repeated node name, a mesh node
     whose geometry or material id is outside its container (a negative one
-    too), a camera on a missing node, a mesh node with no scene.world entry
-    and, when scene.world is empty and so computed here, a missing parent or
-    a cycle; ConfigurationError for no camera, or none on config.camera.
+    too), a camera on a missing node, a mesh node or the selected camera's
+    node with no scene.world entry and, when scene.world is empty and so
+    computed here, a missing parent or a cycle; ConfigurationError for no
+    camera, or none on config.camera.
     With two frames in flight, an error in frame f's display stage (an
     image write that fails, say) is raised at frame f + 1's slot fence,
     after its main pass, or when the loop ends; no later frame starts,
@@ -222,7 +223,8 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
         refresh_world_transforms(scene)
     names, geometry, material = mesh_instances(scene)
     check_references(scene, names, geometry, material)  # fail before any work
-    select_camera(scene, config.camera)
+    camera = select_camera(scene, config.camera)
+    camera_world(scene, camera)
     table = WorldTable(scene)
     try:
         rows = np.fromiter(map(table.rows.__getitem__, names), np.int64, len(names))
@@ -287,7 +289,7 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
             t2 = time.perf_counter()
 
             # a copy: the next pose apply overwrites the table row under it
-            eye = scene.world[select_camera(scene, config.camera).node][:3, 3].copy()
+            eye = scene.world[camera.node][:3, 3].copy()
             stage = (i, fb, eye, (t1 - t0) * 1000.0, (t2 - t1) * 1000.0)
             if display is None:
                 display_stage(*stage)

@@ -348,9 +348,9 @@ def parse_gltf_subset(data, base_dir=None) -> Scene:
     camera_defs = doc.get("cameras", [])
     light_nodes: list[tuple[str, int]] = []
     seen: set[int] = set()
-
-    def visit(index: int, parent_name: str | None):
-        nonlocal default_material_id
+    stack = [(r, None) for r in reversed(roots)]  # pre-order: children in order after their parent
+    while stack:
+        index, parent_name = stack.pop()
         if not (0 <= index < len(node_defs)):
             raise ValidationError(f"node index {index} out of range")
         if index in seen:
@@ -402,11 +402,7 @@ def parse_gltf_subset(data, base_dir=None) -> Scene:
                 raise ValidationError(f"node '{name}' references missing light {li}")
             light_nodes.append((name, li))
 
-        for child in nd.get("children", []):
-            visit(child, name)
-
-    for r in roots:
-        visit(r, None)
+        stack.extend((child, name) for child in reversed(nd.get("children", [])))
 
     # Broken meshes that no reachable node used still fail the parse.
     for mi, err in mesh_errors.items():

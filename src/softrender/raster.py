@@ -3,10 +3,10 @@
 Draws are sorted by (material id, geometry id) with node name as the
 tie break, mirroring a command-buffer submission path that minimizes
 pipeline and binding switches.  The geometry stage makes one array pass
-per geometry over the stacked world matrices of its draws: transform,
-frustum cull, near clip and project, then one reorder back to
-submission order.  The pass itself is a visibility buffer over
-per-sample coverage and depth:
+per geometry over the stacked world matrices of its draws: transform
+and project each vertex once, frustum cull, near clip, and reorder the
+triangles, index triples into those vertices, to submission order.  The
+pass itself is a visibility buffer over per-sample coverage and depth:
 
   - column-major MVP convention, right-handed view space, depth in
     [0, 1] with a less-than test;
@@ -96,9 +96,17 @@ def select_camera(scene: Scene, name: str | None = None) -> Camera:
     raise ConfigurationError(f"no camera on node '{name}'")
 
 
+def camera_world(scene: Scene, camera: Camera) -> np.ndarray:
+    """The camera node's world matrix; ValidationError when scene.world has none."""
+    try:
+        return scene.world[camera.node]
+    except KeyError:
+        raise ValidationError(f"camera node '{camera.node}' has no world transform") from None
+
+
 def camera_matrices(scene: Scene, camera: Camera, width: int, height: int):
     """(view, projection, eye position) for the camera node's world pose."""
-    cam_world = scene.world[camera.node]
+    cam_world = camera_world(scene, camera)
     try:
         view = np.linalg.inv(cam_world)
     except np.linalg.LinAlgError:
@@ -109,26 +117,19 @@ def camera_matrices(scene: Scene, camera: Camera, width: int, height: int):
 
 @dataclass
 class _TriangleBatch:
-    """Projected, near-clipped, consistently wound triangles."""
+    """Vertices shaded once, and near-clipped, consistently wound triangles as index triples."""
 
-    xy: np.ndarray        # (K, 3, 2) screen coords, y down
-    z: np.ndarray         # (K, 3) depth in [0, 1+)
-    iw: np.ndarray        # (K, 3) 1/w
-    wpos_iw: np.ndarray   # (K, 3, 3) world position / w
-    wnrm_iw: np.ndarray   # (K, 3, 3) world normal / w
+    xy: np.ndarray        # (V, 2) screen coords, y down
+    z: np.ndarray         # (V,) depth in [0, 1+)
+    iw: np.ndarray        # (V,) 1/w
+    wpos_iw: np.ndarray   # (V, 3) world position / w
+    wnrm_iw: np.ndarray   # (V, 3) world normal / w
+    tri: np.ndarray       # (K, 3) int64 vertex rows
     material: np.ndarray  # (K,) int32
-    bbox: np.ndarray      # (K, 4) xmin xmax ymin ymax
 
     @property
     def count(self) -> int:
-        return len(self.xy)
-
-
-def _empty_batch() -> _TriangleBatch:
-    return _TriangleBatch(
-        xy=np.zeros((0, 3, 2)), z=np.zeros((0, 3)), iw=np.zeros((0, 3)),
-        wpos_iw=np.zeros((0, 3, 3)), wnrm_iw=np.zeros((0, 3, 3)),
-        material=np.zeros(0, dtype=np.int32), bbox=np.zeros((0, 4)))
+        return len(self.tri)
 
 
 def _clip_near(clip, wpos, wnrm):
@@ -140,8 +141,8 @@ def _clip_near(clip, wpos, wnrm):
     Attributes interpolate linearly: clip coordinates are affine in world
     position, so the edge parameter is shared exactly.  A polygon of 3
     slots gives fan triangle (0, 1, 2), one of 4 also (0, 2, 3).  Returns
-    the fan triangles as (clip, wpos, wnrm) stacks, their source rows and
-    their fan index.
+    the fan triangles' corners as (clip, wpos, wnrm) rows, three per fan
+    triangle, their source rows and their fan index.
     """
     nxt = [1, 2, 0]
     inside = clip[..., 2] >= 0.0
@@ -163,7 +164,7 @@ def _clip_near(clip, wpos, wnrm):
         poly[:, 0::2] = attr
         start = attr[row, edge]
         poly[row, 2 * edge + 1] = start + t * (attr[row, end] - start)
-        out.append(poly[rows[:, None], corners])
+        out.append(poly[rows[:, None], corners].reshape(-1, attr.shape[-1]))
     return (*out, rows, np.repeat([0, 1], [len(clip), int(fan.sum())]))
 
 
@@ -171,19 +172,21 @@ def _geometry_stage(scene: Scene, draws: Draws, view, proj, width, height,
                     frustum_culling: bool, backface_culling: bool) -> _TriangleBatch:
     """Transform, cull, near-clip and project every draw, in submission order.
 
-    One pass per geometry over the world matrices of its draws.
-    Within a draw, fully inside triangles keep their order and come
-    first, then the fan triangles of the near-clipped ones; depth ties
-    depend on this order.  Degenerate triangles drop: zero area, and
-    areas below the smallest normal float, which would divide depth to
+    One pass per geometry over the world matrices of its draws adds each
+    vertex to the vertex table once; each near-clipped fan triangle adds
+    its three corners.  Within a draw, fully inside triangles keep their
+    order and come first, then the fan triangles of the near-clipped ones;
+    depth ties depend on this order.  Degenerate triangles drop: zero area,
+    and areas below the smallest normal float, which would divide depth to
     inf.  Winding is normalized so edge functions are positive inside,
-    flipping vertex order when needed.
+    flipping index order when needed.
     """
-    if not len(draws.geometry):
-        return _empty_batch()
     vp = proj @ view
     geometry, material, world = draws.geometry, draws.material, draws.world
-    parts = []  # (clip, wpos, wnrm, draw rank, clipped, triangle, fan)
+    # (clip, wpos, wnrm) vertex rows, then (tri, draw rank, clipped, triangle, fan) per triangle
+    parts = [(np.zeros((0, 4)), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3), np.int64),
+              *[np.zeros(0, np.int64)] * 4)]
+    base = 0  # vertex rows so far
     for gid in np.unique(geometry):
         geo = scene.geometries[gid]
         if geo.triangle_count == 0:
@@ -212,40 +215,39 @@ def _geometry_stage(scene: Scene, draws: Draws, view, proj, width, height,
         tri = geo.triangles.astype(np.int64)
         n_in = (clip[..., 2] >= 0.0)[:, tri].sum(axis=2)  # (D, T) vertices inside
         d, k = np.nonzero(n_in == 3)
-        v = d[:, None], tri[k]
-        parts.append((clip[v], wpos[v], wnrm[v], rank[d], np.zeros_like(d), k, np.zeros_like(d)))
+        parts.append((clip.reshape(-1, 4), wpos.reshape(-1, 3), wnrm.reshape(-1, 3),
+                      base + d[:, None] * geo.vertex_count + tri[k], rank[d], np.zeros_like(d),
+                      k, np.zeros_like(d)))
+        base += len(rank) * geo.vertex_count
         d, k = np.nonzero((n_in == 1) | (n_in == 2))
         if len(d):  # rare: skips the clip's fixed cost
             v = d[:, None], tri[k]
-            cclip, cwpos, cwnrm, src, fan = _clip_near(clip[v], wpos[v], wnrm[v])
-            parts.append((cclip, cwpos, cwnrm, rank[d][src], np.ones_like(src), k[src], fan))
+            *corners, src, fan = _clip_near(clip[v], wpos[v], wnrm[v])
+            parts.append((*corners, base + np.arange(3 * len(src)).reshape(-1, 3), rank[d][src],
+                          np.ones_like(src), k[src], fan))
+            base += 3 * len(src)
 
-    if not parts:
-        return _empty_batch()
-    clip, wpos, wnrm, rank, clipped, tri, fan = (np.concatenate(a) for a in zip(*parts))
-    order = np.lexsort((fan, tri, clipped, rank))
-    clip, wpos, wnrm, rank = clip[order], wpos[order], wnrm[order], rank[order]
+    clip, wpos, wnrm, tri, rank, clipped, k, fan = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((fan, k, clipped, rank))
+    tri, rank = tri[order], rank[order]
 
-    iw = 1.0 / clip[..., 3]
-    ndc = clip[..., :3] * iw[..., None]
-    x = (ndc[..., 0] * 0.5 + 0.5) * width
-    y = (0.5 - ndc[..., 1] * 0.5) * height
-    z = ndc[..., 2]
-    area2 = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-             - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+    with np.errstate(all="ignore"):  # vertices no triangle uses may lie on or behind the eye plane
+        iw = 1.0 / clip[:, 3]
+        x = (clip[:, 0] * iw * 0.5 + 0.5) * width
+        y = (0.5 - clip[:, 1] * iw * 0.5) * height
+        z = clip[:, 2] * iw
+        wpos_iw, wnrm_iw = wpos * iw[:, None], wnrm * iw[:, None]
+    tx, ty = x[tri], y[tri]
+    area2 = ((tx[:, 1] - tx[:, 0]) * (ty[:, 2] - ty[:, 0])
+             - (ty[:, 1] - ty[:, 0]) * (tx[:, 2] - tx[:, 0]))
     keep = ~(np.abs(area2) < np.finfo(np.float64).tiny)
     if backface_culling:
         keep &= area2 < 0.0  # front faces wind counter-clockwise before the y flip
-    xy = np.stack([x, y], axis=-1)[keep]
-    z, iw, wpos, wnrm = z[keep], iw[keep], wpos[keep], wnrm[keep]
+    tri = tri[keep]
     flip = area2[keep] < 0.0
-    for arr in (xy, z, iw, wpos, wnrm):
-        arr[flip] = arr[flip][:, [0, 2, 1]]
-    bbox = np.stack([xy[..., 0].min(axis=1), xy[..., 0].max(axis=1),
-                     xy[..., 1].min(axis=1), xy[..., 1].max(axis=1)], axis=1)
-    return _TriangleBatch(xy=xy, z=z, iw=iw, wpos_iw=wpos * iw[..., None],
-                          wnrm_iw=wnrm * iw[..., None], material=material[rank[keep]],
-                          bbox=bbox)
+    tri[flip] = tri[flip][:, [0, 2, 1]]
+    return _TriangleBatch(xy=np.stack([x, y], axis=1), z=z, iw=iw, wpos_iw=wpos_iw,
+                          wnrm_iw=wnrm_iw, tri=tri, material=material[rank[keep]])
 
 
 # (triangle, pixel) pairs whose coverage is evaluated at once: bounds the
@@ -278,8 +280,8 @@ def _thin(dx, dy, area2):
     return area2 <= _THIN * longest2 * (np.sqrt(longest2) + 2.0)
 
 
-def _coverage_window(bbox, thin, samples):
-    """(K, 2) first and (K, 2) past-the-end pixel (x, y) of each triangle's window.
+def _coverage_window(xy, thin, samples):
+    """(K, 2) first and (K, 2) past-the-end pixel (x, y) of each window of (K, 3, 2) corners xy.
 
     Unclipped.  Never larger than the one-pixel-margin rectangle
     ``floor(min) - 1 .. ceil(max) + 1`` that thin triangles keep, because
@@ -287,8 +289,10 @@ def _coverage_window(bbox, thin, samples):
     """
     below = samples.max(axis=0) + _WINDOW_SLACK   # sample offsets sit on the 1/16 lattice
     above = _WINDOW_SLACK - samples.min(axis=0)
-    lo = np.where(thin[:, None], np.floor(bbox[:, 0::2]) - 1, np.ceil(bbox[:, 0::2] - below))
-    hi = np.where(thin[:, None], np.ceil(bbox[:, 1::2]) + 1, np.floor(bbox[:, 1::2] + above) + 1)
+    box_lo = np.minimum(np.minimum(xy[:, 0], xy[:, 1]), xy[:, 2])  # xy.min(axis=1) is
+    box_hi = np.maximum(np.maximum(xy[:, 0], xy[:, 1]), xy[:, 2])  # several times slower
+    lo = np.where(thin[:, None], np.floor(box_lo) - 1, np.ceil(box_lo - below))
+    hi = np.where(thin[:, None], np.ceil(box_hi) + 1, np.floor(box_hi + above) + 1)
     return lo, hi
 
 
@@ -301,15 +305,17 @@ def _interpolate(batch: _TriangleBatch, k, lam, one_pixel):
     """(P,) 1/w, (P, 3) position/w and (P, 3) normal/w at barycentrics lam of triangles k.
 
     Row for row these are the bits of the per-triangle products
-    ``lam_k @ batch.iw[k]``, ``lam_k @ batch.wpos_iw[k]`` and
-    ``lam_k @ batch.wnrm_iw[k]`` over triangle k's own rows.  The first
-    is a matrix-vector product, which rounds one way for a single row
-    (one_pixel) and another for two or more (``dot_rows``); the other two
-    round alike for any row count.  Row sums and einsum round differently.
+    ``lam_k @ iw[tri[k]]``, ``lam_k @ wpos_iw[tri[k]]`` and
+    ``lam_k @ wnrm_iw[tri[k]]`` over the vertices, each shaded once, of
+    triangle k's index triple.  The first is a matrix-vector product, which
+    rounds one way for a single row (one_pixel) and another for two or more
+    (``dot_rows``); the other two round alike for any row count.  Row sums
+    and einsum round differently.
     """
-    return (dot_rows(lam, batch.iw[k], one_pixel),
-            (lam[:, None, :] @ batch.wpos_iw[k])[:, 0],
-            (lam[:, None, :] @ batch.wnrm_iw[k])[:, 0])
+    v = np.take(batch.tri, k, axis=0)  # take: several times faster than indexing here
+    return (dot_rows(lam, np.take(batch.iw, v), one_pixel),
+            (lam[:, None, :] @ np.take(batch.wpos_iw, v, axis=0))[:, 0],
+            (lam[:, None, :] @ np.take(batch.wnrm_iw, v, axis=0))[:, 0])
 
 
 def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye,
@@ -329,13 +335,13 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
     """
     samples = SAMPLE_POSITIONS[fb.samples]
     width = fb.width
-    vx = batch.xy[..., 0]
-    vy = batch.xy[..., 1]
+    xy, tz = np.take(batch.xy, batch.tri, axis=0), np.take(batch.z, batch.tri)
+    vx, vy = xy[..., 0], xy[..., 1]
     dx = vx[:, [1, 2, 0]] - vx   # edge i runs v_i -> v_{i+1}
     dy = vy[:, [1, 2, 0]] - vy
     area2 = dx[:, 0] * (vy[:, 2] - vy[:, 0]) - dy[:, 0] * (vx[:, 2] - vx[:, 0])
     top_left = (dy < 0.0) | ((dy == 0.0) & (dx > 0.0))
-    lo, hi = _coverage_window(batch.bbox, _thin(dx, dy, area2), samples)
+    lo, hi = _coverage_window(xy, _thin(dx, dy, area2), samples)
     x_lo, y_lo = np.clip(lo, (0, band_y0), (width, band_y1)).astype(np.int64).T
     x_hi, y_hi = np.clip(hi, (0, band_y0), (width, band_y1)).astype(np.int64).T
     tris = np.flatnonzero((x_lo < x_hi) & (y_lo < y_hi) & (area2 > 0.0))
@@ -356,7 +362,7 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
         col = x_lo[k] + offset % rect_w[j]
         pixel = (row - band_y0) * width + col
         by_pixel = np.argsort(pixel, kind="stable")
-        kdx, kdy, kvx, kvy, kz = dx[k], dy[k], vx[k], vy[k], batch.z[k]
+        kdx, kdy, kvx, kvy, kz = dx[k], dy[k], vx[k], vy[k], tz[k]
         passed = np.zeros(len(pair), dtype=bool)
         for s, (sx, sy) in enumerate(samples):
             e = _edge_functions(kdx, kdy, kvx, kvy, col + sx, row + sy)

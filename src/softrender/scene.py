@@ -167,27 +167,22 @@ def compute_world_transforms(scene: Scene) -> dict[str, np.ndarray]:
     """world(n) = world(parent(n)) @ local(n); roots use the identity parent."""
     by_name = {n.name: n for n in scene.nodes}
     world: dict[str, np.ndarray] = {}
-    state: dict[str, int] = {}  # 1 = in progress, 2 = done
-
-    def resolve(name: str) -> np.ndarray:
-        if state.get(name) == 2:
-            return world[name]
-        if state.get(name) == 1:
-            raise ValidationError(f"cycle in node hierarchy at '{name}'")
-        state[name] = 1
-        node = by_name[name]
-        if node.parent is None:
-            m = node.local.copy()
-        else:
-            if node.parent not in by_name:
-                raise ValidationError(f"node '{name}' references missing parent '{node.parent}'")
-            m = resolve(node.parent) @ node.local
-        world[name] = m
-        state[name] = 2
-        return m
-
+    walked: set[str] = set()  # nodes a walk has left for their parent
     for n in scene.nodes:
-        resolve(n.name)
+        node, path = by_name[n.name], []
+        while node.parent is not None and node.parent not in world:  # up to a resolved parent
+            if node.parent not in by_name:
+                raise ValidationError(
+                    f"node '{node.name}' references missing parent '{node.parent}'")
+            walked.add(node.name)
+            if node.parent in walked:
+                raise ValidationError(f"cycle in node hierarchy at '{node.parent}'")
+            path.append(node)
+            node = by_name[node.parent]
+        world[node.name] = (node.local.copy() if node.parent is None
+                            else world[node.parent] @ node.local)
+        for node in reversed(path):
+            world[node.name] = world[node.parent] @ node.local
     return world
 
 

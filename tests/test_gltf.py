@@ -159,6 +159,26 @@ def test_parent_child_chain_preserved():
     np.testing.assert_allclose(scene.world["child"][:3, 3], [1, 2, 0])
 
 
+def test_nodes_are_listed_in_pre_order():
+    doc = tri_doc()
+    doc["nodes"] = [{"name": "a", "children": [3, 1]}, {"name": "b"}, {"name": "c"},
+                    {"name": "d", "children": [4]}, {"name": "e", "mesh": 0}]
+    doc["scenes"] = [{"nodes": [0, 2]}]
+    scene = parse(doc)
+    assert [n.name for n in scene.nodes] == ["a", "d", "e", "b", "c"]
+    assert [n.parent for n in scene.nodes] == [None, "a", "d", "a", None]
+
+
+def test_deep_node_chain_parses():
+    """1,200 nodes, each the only child of the one before."""
+    doc = tri_doc()
+    doc["nodes"] = [{"name": f"n{i}", "children": [i + 1], "translation": [1, 0, 0]}
+                    for i in range(1199)] + [{"name": "n1199", "mesh": 0, "translation": [1, 0, 0]}]
+    scene = parse(doc)
+    assert [n.name for n in scene.nodes] == [f"n{i}" for i in range(1200)]
+    np.testing.assert_array_equal(scene.world["n1199"][:3, 3], [1200.0, 0.0, 0.0])
+
+
 def test_trs_node_equals_equivalent_matrix_node():
     t = [1.0, 2.0, 3.0]
     angle = 0.8

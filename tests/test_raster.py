@@ -8,6 +8,7 @@ intersection for depth-buffer content.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ TAN_HALF = math.tan(FOV / 2.0)
 
 
 # ---------------------------------------------------------------- builders
+
+def corner_batch(xy, z, iw, wpos_iw, wnrm_iw, material):
+    """A `_TriangleBatch` from (K, 3, ...) per-corner arrays; each triangle owns its 3 vertices."""
+    count = len(material)
+    return _TriangleBatch(xy=xy.reshape(-1, 2), z=z.reshape(-1), iw=iw.reshape(-1),
+                          wpos_iw=wpos_iw.reshape(-1, 3), wnrm_iw=wnrm_iw.reshape(-1, 3),
+                          tri=np.arange(3 * count).reshape(count, 3), material=material)
+
 
 def tri_geometry(verts, normal):
     verts = np.asarray(verts, dtype=np.float64)
@@ -467,9 +476,9 @@ def test_near_clip_corpus_matches_pinned_sha256(bench_gltf):
                 digest.update(fb.depth.tobytes())
                 batch = _geometry_stage(scene, build_draws(scene), view, proj, 64, 48,
                                         frustum, backface)
-                for arr in (batch.xy, batch.z, batch.iw, batch.wpos_iw, batch.wnrm_iw,
-                            batch.material):
-                    batches.update(arr.tobytes())
+                for arr in (batch.xy, batch.z, batch.iw, batch.wpos_iw, batch.wnrm_iw):
+                    batches.update(arr[batch.tri].tobytes())  # per corner, as recorded
+                batches.update(batch.material.tobytes())
     assert digest.hexdigest() == PINNED_NEAR_CLIP_SHA256
     assert batches.hexdigest() == PINNED_NEAR_CLIP_BATCH_SHA256
 
@@ -534,8 +543,9 @@ def test_world_normals_stay_perpendicular_under_nonuniform_scale():
     view, proj, _ = camera_matrices(scene, select_camera(scene), 64, 64)
     batch = _geometry_stage(scene, build_draws(scene), view, proj, 64, 64, False, False)
     assert batch.count == 1
-    iw = batch.iw[0][:, None]
-    wpos, wnrm = batch.wpos_iw[0] / iw, batch.wnrm_iw[0] / iw
+    corners = batch.tri[0]
+    iw = batch.iw[corners][:, None]
+    wpos, wnrm = batch.wpos_iw[corners] / iw, batch.wnrm_iw[corners] / iw
     edges = wpos[[1, 2, 0]] - wpos
     for n in wnrm:
         unit = n / np.linalg.norm(n)
@@ -597,6 +607,38 @@ def test_missing_camera_is_configuration_error():
         main_pass(scene, None, config())
 
 
+def test_camera_node_without_world_is_validation_error():
+    scene = make_shadow_scene()
+    del scene.world["cam"]
+    with pytest.raises(ValidationError, match="camera node 'cam'"):
+        main_pass(scene, None, config())
+
+
+@pytest.mark.parametrize("frustum", [False, True])
+def test_vertex_on_the_eye_plane_renders_near_clipped(frustum):
+    """A shared vertex at view-space z = 0 has clip w = 0, so the geometry
+    stage's 1/w, NDC and premultiplied attributes of that vertex are inf or
+    NaN (it has zero y and z, and so does its normal).  Both triangles
+    through it are near-clipped; nothing they draw may be non-finite, and
+    no floating-point warning may escape."""
+    verts = np.array([[0.5, 0.0, 0.0], [-1.0, -1.0, -3.0], [1.0, -1.0, -3.0], [0.0, 1.0, -3.0]])
+    geo = MeshGeometry(positions=verts, normals=np.tile([0.0, 0.0, 1.0], (4, 1)),
+                       uvs=np.zeros((4, 2)), triangles=np.array([[1, 2, 0], [0, 3, 1]]))
+    light = PointLight(position=[0.0, 0.0, 1.0], intensity=[8.0] * 3)
+    scene = build_scene([], [gray_material()], lights=[light])
+    scene.geometries.append(geo)
+    scene.nodes.append(SceneNode(name="fan", parent=None, local=np.eye(4), mesh_instance=(0, 0)))
+    refresh_world_transforms(scene)
+    view, proj, _ = camera_matrices(scene, select_camera(scene), 64, 48)
+    assert (proj @ view @ [0.5, 0.0, 0.0, 1.0])[3] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fb = main_pass(scene, None, config(width=64, height=48, msaa=4, frustum_culling=frustum))
+    covered = fb.depth != np.inf
+    assert covered.sum() > 100
+    assert np.isfinite(fb.depth[covered]).all() and np.isfinite(fb.color[covered]).all()
+
+
 # ------------------------------------------------- bit-exact main pass
 
 # recorded from the per-triangle raster loop: the visibility buffer must
@@ -636,12 +678,11 @@ def test_depth_tie_below_float32_resolution_goes_to_later_triangle():
     wpos = np.array([[-1.0, 1.0, -2.0], [1.0, 1.0, -2.0], [-1.0, -1.0, -2.0]])
 
     def render(*tris):
-        batch = _TriangleBatch(
+        batch = corner_batch(
             xy=np.array([xy] * len(tris)), z=np.array([[z] * 3 for z, _ in tris]),
             iw=np.ones((len(tris), 3)), wpos_iw=np.array([wpos] * len(tris)),
             wnrm_iw=np.tile([0.0, 0.0, 1.0], (len(tris), 3, 1)),
-            material=np.array([m for _, m in tris], dtype=np.int32),
-            bbox=np.array([[0.0, 8.0, 0.0, 8.0]] * len(tris)))
+            material=np.array([m for _, m in tris], dtype=np.int32))
         fb = create_framebuffer(8, 8, 4)
         _raster_band(fb, batch, scene, None, np.zeros(3), False, 0, 8)
         return fb
@@ -660,17 +701,15 @@ def test_interpolate_matches_per_triangle_products():
     over each triangle's own rows, many of them one-pixel triangles."""
     rng = np.random.default_rng(83)
     count = 400
-    batch = _TriangleBatch(
-        xy=np.zeros((count, 3, 2)), z=np.zeros((count, 3)),
-        iw=rng.uniform(0.02, 2.0, (count, 3)), wpos_iw=rng.normal(0.0, 4.0, (count, 3, 3)),
-        wnrm_iw=rng.normal(0.0, 1.0, (count, 3, 3)),
-        material=np.zeros(count, dtype=np.int32), bbox=np.zeros((count, 4)))
+    corners = (rng.uniform(0.02, 2.0, (count, 3)), rng.normal(0.0, 4.0, (count, 3, 3)),
+               rng.normal(0.0, 1.0, (count, 3, 3)))  # iw, wpos_iw, wnrm_iw
+    batch = corner_batch(np.zeros((count, 3, 2)), np.zeros((count, 3)), *corners,
+                         np.zeros(count, dtype=np.int32))
     rows = rng.choice([1, 1, 1, 2, 3, 7, 30], count)
     k = np.repeat(np.arange(count), rows)
     lam = rng.uniform(0.0, 1.0, (len(k), 3))
     lam /= lam.sum(axis=1, keepdims=True)
-    want = [np.concatenate([lam[k == t] @ attr[t] for t in range(count)])
-            for attr in (batch.iw, batch.wpos_iw, batch.wnrm_iw)]
+    want = [np.concatenate([lam[k == t] @ attr[t] for t in range(count)]) for attr in corners]
     order = rng.permutation(len(k))  # rows of all triangles interleaved
     got = _interpolate(batch, k[order], lam[order], rows[k[order]] == 1)
     for g, w in zip(got, want):
@@ -747,13 +786,11 @@ def soup_batch(xy, seed):
     rng = np.random.default_rng(seed)
     n = len(xy)
     normals = rng.normal(size=(n, 3, 3))
-    return _TriangleBatch(
+    return corner_batch(
         xy=xy, z=rng.uniform(0.05, 0.95, (n, 3)), iw=rng.uniform(0.5, 2.0, (n, 3)),
         wpos_iw=rng.normal(0.0, 1.0, (n, 3, 3)) + [0.0, 0.0, -3.0],
         wnrm_iw=normals / np.linalg.norm(normals, axis=2, keepdims=True),
-        material=rng.integers(0, 3, n).astype(np.int32),
-        bbox=np.stack([xy[..., 0].min(axis=1), xy[..., 0].max(axis=1),
-                       xy[..., 1].min(axis=1), xy[..., 1].max(axis=1)], axis=1))
+        material=rng.integers(0, 3, n).astype(np.int32))
 
 
 def soup_scene():
@@ -840,9 +877,8 @@ def test_window_drops_only_samples_the_edge_test_misses(kind, seed, msaa):
     keep = area2 > 0.0
     xy, vx, vy, dx, dy, area2, top_left = (a[keep] for a in (xy, vx, vy, dx, dy, area2, top_left))
     thin = raster._thin(dx, dy, area2)
-    bbox = soup_batch(xy, 0).bbox
-    rect_lo, rect_hi = np.floor(bbox[:, 0::2]) - 1, np.ceil(bbox[:, 1::2]) + 1
-    lo, hi = raster._coverage_window(bbox, thin, SAMPLE_POSITIONS[msaa])
+    rect_lo, rect_hi = np.floor(xy.min(axis=1)) - 1, np.ceil(xy.max(axis=1)) + 1
+    lo, hi = raster._coverage_window(xy, thin, SAMPLE_POSITIONS[msaa])
     assert np.all((lo >= rect_lo) & (hi <= rect_hi))
     assert np.array_equal(lo[thin], rect_lo[thin]) and np.array_equal(hi[thin], rect_hi[thin])
 

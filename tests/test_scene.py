@@ -92,6 +92,18 @@ def test_cycle_detection():
         compute_world_transforms(scene)
 
 
+def test_deep_chain_listed_child_first():
+    """1,200 nodes, each the parent of the next, listed leaf first: resolving
+    the leaf walks the whole chain without recursing."""
+    nodes = [SceneNode(name=f"n{i}", parent=f"n{i - 1}" if i else None, local=translate(1, 0, 0))
+             for i in range(1200)]
+    world = compute_world_transforms(Scene(nodes=nodes[::-1]))
+    np.testing.assert_array_equal(world["n1199"][:3, 3], [1200.0, 0.0, 0.0])
+    nodes[0].parent = "n1199"
+    with pytest.raises(ValidationError, match="cycle"):
+        compute_world_transforms(Scene(nodes=nodes[::-1]))
+
+
 def test_refresh_world_transforms_populates_scene():
     scene = chain_scene()
     assert scene.world == {}
@@ -133,6 +145,7 @@ _BAD_SCENES = {
     "camera_on_missing_node": (lambda s: s.cameras.insert(0, Camera(
         node="ghost", vertical_fov=1.0, near=0.1, far=10.0)), True),
     "mesh_node_without_world": (lambda s: s.nodes.append(_node("extra", (1, 1))), False),
+    "camera_node_without_world": (lambda s: s.world.pop("cam"), False),
 }
 
 
