@@ -19,14 +19,15 @@ pass itself is a visibility buffer over per-sample coverage and depth:
     box, and the depth rule is sequential: in submission order a
     sample passes on ``z < float32 stored depth`` and stores its
     float32 depth, so the last passing triangle wins the sample;
-  - shading then runs once per (pixel, winning triangle) at the pixel
-    center, with one shadow batch per light, and the result goes to the
-    samples that triangle won;
+  - shading then runs once per frame, once per (pixel, winning triangle)
+    at the pixel center, with one shadow batch per light, and the result
+    goes to the samples that triangle won;
   - attributes are perspective-corrected via 1/w interpolation.
 
-Work splits over disjoint horizontal bands.  Every band rasterizes the
-same triangles in the same submission order, so the worker count can
-change wall time but never a single pixel.
+Only coverage splits over disjoint horizontal bands.  Every band covers
+with the same triangles in the same submission order and records batch
+triangle ids, and the one shading pass sees the whole frame, so the
+worker count can change wall time but never a single pixel.
 """
 
 from __future__ import annotations
@@ -276,7 +277,8 @@ _THIN = 256.0 * np.finfo(np.float64).eps
 
 def _thin(dx, dy, area2):
     """Triangles whose edge test may cover samples farther than the slack from their box."""
-    longest2 = (dx * dx + dy * dy).max(axis=1)
+    edge2 = dx * dx + dy * dy
+    longest2 = np.maximum(np.maximum(edge2[:, 0], edge2[:, 1]), edge2[:, 2])
     return area2 <= _THIN * longest2 * (np.sqrt(longest2) + 2.0)
 
 
@@ -294,6 +296,15 @@ def _coverage_window(xy, thin, samples):
     lo = np.where(thin[:, None], np.floor(box_lo) - 1, np.ceil(box_lo - below))
     hi = np.where(thin[:, None], np.ceil(box_hi) + 1, np.floor(box_hi + above) + 1)
     return lo, hi
+
+
+def _edges(xy):
+    """vx, vy, dx, dy (K, 3) and area2 (K,) of (K, 3, 2) corners xy; edge i runs v_i -> v_{i+1}."""
+    vx, vy = xy[..., 0], xy[..., 1]
+    dx = vx[:, [1, 2, 0]] - vx
+    dy = vy[:, [1, 2, 0]] - vy
+    area2 = dx[:, 0] * (vy[:, 2] - vy[:, 0]) - dy[:, 0] * (vx[:, 2] - vx[:, 0])
+    return vx, vy, dx, dy, area2
 
 
 def _edge_functions(dx, dy, vx, vy, px, py):
@@ -318,28 +329,25 @@ def _interpolate(batch: _TriangleBatch, k, lam, one_pixel):
             (lam[:, None, :] @ np.take(batch.wnrm_iw, v, axis=0))[:, 0])
 
 
-def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye,
-                 shadows: bool, band_y0: int, band_y1: int) -> None:
-    """Rasterize every batch triangle into rows [band_y0, band_y1).
+def _raster_band(fb: Framebuffer, batch: _TriangleBatch, winner, band_y0: int,
+                 band_y1: int) -> np.ndarray:
+    """Cover rows [band_y0, band_y1) with every batch triangle; returns its (K,) int64 lit.
 
-    A visibility buffer.  First the coverage and depth of every
-    (triangle, pixel) pair of the triangles' coverage windows (see
-    ``_WINDOW_SLACK``), a chunk of pairs at a time, under the
-    sequential depth rule: in submission order a candidate passes on
+    The coverage half of a visibility buffer: the coverage and depth of
+    every (triangle, pixel) pair of the triangles' coverage windows (see
+    ``_WINDOW_SLACK``), a chunk of pairs at a time, under the sequential
+    depth rule: in submission order a candidate passes on
     ``zg < float32 stored depth`` and stores ``float32(zg)``, so the last
     passing candidate wins (a float64 argmin is not the same rule).  It
     runs rank by rank over each pixel's candidates, a loop over depth
-    complexity, not over triangles.  Then each (pixel, winning triangle)
-    is shaded once, with one shadow batch per light, and its colour goes
-    to every sample that triangle won in that pixel.
+    complexity, not over triangles.  Each winning sample's batch triangle
+    id goes to the frame's (H, W, S) int32 winner array, and lit counts,
+    per triangle, the band's pixels where some sample of it passed.
     """
     samples = SAMPLE_POSITIONS[fb.samples]
     width = fb.width
     xy, tz = np.take(batch.xy, batch.tri, axis=0), np.take(batch.z, batch.tri)
-    vx, vy = xy[..., 0], xy[..., 1]
-    dx = vx[:, [1, 2, 0]] - vx   # edge i runs v_i -> v_{i+1}
-    dy = vy[:, [1, 2, 0]] - vy
-    area2 = dx[:, 0] * (vy[:, 2] - vy[:, 0]) - dy[:, 0] * (vx[:, 2] - vx[:, 0])
+    vx, vy, dx, dy, area2 = _edges(xy)
     top_left = (dy < 0.0) | ((dy == 0.0) & (dx > 0.0))
     lo, hi = _coverage_window(xy, _thin(dx, dy, area2), samples)
     x_lo, y_lo = np.clip(lo, (0, band_y0), (width, band_y1)).astype(np.int64).T
@@ -347,7 +355,7 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
     tris = np.flatnonzero((x_lo < x_hi) & (y_lo < y_hi) & (area2 > 0.0))
 
     depth = fb.depth[band_y0:band_y1].reshape(-1, fb.samples)
-    winner = np.full(depth.shape, -1, dtype=np.int32)  # index into tris
+    winner = winner[band_y0:band_y1].reshape(-1, fb.samples)
     lit = np.zeros(len(tris), dtype=np.int64)  # pixels where some sample passed
     rect_w = x_hi[tris] - x_lo[tris]
     rect_n = rect_w * (y_hi[tris] - y_lo[tris])
@@ -362,11 +370,12 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
         col = x_lo[k] + offset % rect_w[j]
         pixel = (row - band_y0) * width + col
         by_pixel = np.argsort(pixel, kind="stable")
-        kdx, kdy, kvx, kvy, kz = dx[k], dy[k], vx[k], vy[k], tz[k]
+        kdx, kdy, kvx, kvy, kz, ktl = dx[k], dy[k], vx[k], vy[k], tz[k], top_left[k]
         passed = np.zeros(len(pair), dtype=bool)
         for s, (sx, sy) in enumerate(samples):
             e = _edge_functions(kdx, kdy, kvx, kvy, col + sx, row + sy)
-            cover = ((e > 0.0) | ((e == 0.0) & top_left[k])).all(axis=1)
+            inside = (e > 0.0) | ((e == 0.0) & ktl)  # inside.all(axis=1) is
+            cover = inside[:, 0] & inside[:, 1] & inside[:, 2]  # several times slower
             zg = (e[:, 1] * kz[:, 0] + e[:, 2] * kz[:, 1] + e[:, 0] * kz[:, 2]) / area2[k]
             cand = by_pixel[cover[by_pixel]]  # by pixel, then submission order
             if len(cand) == 0:
@@ -380,24 +389,38 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
                 ok = zg[c] < stored[p]
                 c, p = c[ok], p[ok]
                 stored[p] = zg[c].astype(np.float32)
-                won[p] = j[c]
+                won[p] = k[c]
                 passed[c] = True
                 more = left > 1
                 at, left = at[more] + 1, left[more] - 1
         lit += np.bincount(j[passed], minlength=len(tris))
+    band_lit = np.zeros(batch.count, dtype=np.int64)
+    band_lit[tris] = lit
+    return band_lit
 
+
+def _shade(fb: Framebuffer, batch: _TriangleBatch, winner, lit, scene: Scene, tlas, eye,
+           shadows: bool) -> None:
+    """Shade each (pixel, winning triangle) of the frame once, at the pixel center.
+
+    One shading batch and one shadow batch per light over the whole
+    target; each colour goes to every sample that triangle won in that
+    pixel.  lit counts each triangle's lit pixels over the whole target;
+    a count of one selects ``_interpolate``'s one-row rounding.
+    """
+    winner = winner.reshape(-1, fb.samples)
     covered = winner >= 0
     if not covered.any():
         return
-    key = (np.arange(len(winner))[:, None] * len(tris) + winner)[covered]
+    key = (np.arange(len(winner))[:, None] * batch.count + winner)[covered]
     key, source = np.unique(key, return_inverse=True)  # one row per (pixel, winner)
-    pix, j = np.divmod(key, len(tris))
-    k = tris[j]
-    cx = pix % width + 0.5
-    cy = pix // width + band_y0 + 0.5
-    ec = _edge_functions(dx[k], dy[k], vx[k], vy[k], cx, cy)
-    lam = ec[:, [1, 2, 0]] / area2[k, None]
-    iw_p, wpos_iw, wnrm_iw = _interpolate(batch, k, lam, lit[j] == 1)
+    pix, k = np.divmod(key, batch.count)
+    cx = pix % fb.width + 0.5
+    cy = pix // fb.width + 0.5
+    vx, vy, dx, dy, area2 = _edges(np.take(batch.xy, batch.tri[k], axis=0))
+    ec = _edge_functions(dx, dy, vx, vy, cx, cy)
+    lam = ec[:, [1, 2, 0]] / area2[:, None]
+    iw_p, wpos_iw, wnrm_iw = _interpolate(batch, k, lam, lit[k] == 1)
     iw_p = np.maximum(iw_p, 1e-12)
     wpos = wpos_iw / iw_p[:, None]
     wnrm = normalize(wnrm_iw / iw_p[:, None])
@@ -415,7 +438,7 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, scene: Scene, tlas, eye
     lights = [(light, shadow_mask(tlas, wpos, wnrm, light.position)
                if shadows and tlas is not None else 1.0) for light in scene.lights]
     display = linear_to_srgb(reinhard_tonemap(shade_direct(sample, lights))).astype(np.float32)
-    color = fb.color[band_y0:band_y1].reshape(len(winner), fb.samples, 3)
+    color = fb.color.reshape(len(winner), fb.samples, 3)
     color[covered] = display[source]
 
 
@@ -423,8 +446,11 @@ def main_pass(scene: Scene, tlas, config: RenderConfig, draws: Draws | None = No
               fb: Framebuffer | None = None) -> Framebuffer:
     """Render the scene into a (possibly recycled) multisampled target.
 
-    Passing prebuilt draws is optional; without them the draws are built
-    from scene.world, and outputs are identical either way.
+    Coverage splits over config.workers horizontal bands, which write
+    disjoint rows of the depth buffer and of one frame-wide winner array;
+    then the frame is shaded once.  Passing prebuilt draws is optional;
+    without them the draws are built from scene.world, and outputs are
+    identical either way.
     """
     if fb is None:
         fb = create_framebuffer(config.width, config.height, config.msaa)
@@ -437,17 +463,15 @@ def main_pass(scene: Scene, tlas, config: RenderConfig, draws: Draws | None = No
         draws = build_draws(scene)
     batch = _geometry_stage(scene, draws, view, proj, fb.width, fb.height,
                             config.frustum_culling, config.backface_culling)
-    if batch.count == 0:
-        return fb
 
+    winner = np.full(fb.depth.shape, -1, dtype=np.int32)  # batch triangle id per sample
     workers = min(config.workers, fb.height)
-    band = (fb.height + workers - 1) // workers
-    bands = [(b, min(b + band, fb.height)) for b in range(0, fb.height, band)]
     if workers == 1:
-        for y0, y1 in bands:
-            _raster_band(fb, batch, scene, tlas, eye, config.shadows, y0, y1)
+        lit = _raster_band(fb, batch, winner, 0, fb.height)
     else:
+        band = (fb.height + workers - 1) // workers
+        bands = [(b, min(b + band, fb.height)) for b in range(0, fb.height, band)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: _raster_band(fb, batch, scene, tlas, eye,
-                                                 config.shadows, b[0], b[1]), bands))
+            lit = sum(pool.map(lambda b: _raster_band(fb, batch, winner, *b), bands))
+    _shade(fb, batch, winner, lit, scene, tlas, eye, config.shadows)
     return fb

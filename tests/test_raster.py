@@ -27,6 +27,7 @@ from softrender.raster import (
     _geometry_stage,
     _interpolate,
     _raster_band,
+    _shade,
     _TriangleBatch,
     build_draws,
     camera_matrices,
@@ -58,6 +59,13 @@ def corner_batch(xy, z, iw, wpos_iw, wnrm_iw, material):
     return _TriangleBatch(xy=xy.reshape(-1, 2), z=z.reshape(-1), iw=iw.reshape(-1),
                           wpos_iw=wpos_iw.reshape(-1, 3), wnrm_iw=wnrm_iw.reshape(-1, 3),
                           tri=np.arange(3 * count).reshape(count, 3), material=material)
+
+
+def cover_then_shade(fb, batch, scene, bands):
+    """Cover the (y0, y1) bands with `_raster_band`, then `_shade` the frame once, shadows off."""
+    winner = np.full(fb.depth.shape, -1, dtype=np.int32)
+    lit = sum(_raster_band(fb, batch, winner, y0, y1) for y0, y1 in bands)
+    _shade(fb, batch, winner, lit, scene, None, np.zeros(3), False)
 
 
 def tri_geometry(verts, normal):
@@ -588,16 +596,50 @@ def test_singular_draw_transform_raises_naming_the_node():
     assert np.isfinite(fb.depth).any()
 
 
-def test_worker_count_does_not_change_output():
+def test_worker_count_does_not_change_output(monkeypatch):
+    """Bands split only coverage: each frame is shaded in one batch, with
+    one shadow batch per light, whatever the worker count."""
     scene = make_shadow_scene()
     refresh_world_transforms(scene)
     names, geometry, _ = mesh_instances(scene)
     tlas = build_tlas([scene.world[n] for n in names], geometry, build_scene_blases(scene), names)
+    calls = []
+    for name in ("shade_direct", "shadow_mask"):
+        def counted(*args, _name=name, _f=getattr(raster, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(raster, name, counted)
     images = []
     for workers in (1, 3, 7):
         cfg = config(width=72, height=60, msaa=4, shadows=True, workers=workers)
         images.append(ppm_bytes(resolve_msaa(main_pass(scene, tlas, cfg))))
+        assert sorted(calls) == ["shade_direct"] + ["shadow_mask"] * len(scene.lights)
+        calls.clear()
     assert images[0] == images[1] == images[2]
+
+
+def test_worker_count_does_not_reach_one_pixel_rounding(monkeypatch):
+    """A sliver lights pixels (2, 3) and (2, 4), which two workers put in
+    different bands: `_interpolate` must still see a two-pixel triangle."""
+    corners = [(2.3, 3.2), (2.7, 3.2), (2.5, 4.8)]
+    verts = [screen_to_world(sx, sy, -2.0, 8, 8) for sx, sy in corners]
+    light = PointLight(position=[0.0, 0.0, 1.0], intensity=[8.0] * 3)
+    scene = build_scene([(verts, [0.0, 0.0, 1.0], 0)], [gray_material()], lights=[light])
+    interpolate = raster._interpolate
+    renders = []
+    for workers in (1, 2):
+        flags = []
+
+        def record(batch, k, lam, one_pixel):
+            flags.extend(one_pixel.tolist())
+            return interpolate(batch, k, lam, one_pixel)
+
+        monkeypatch.setattr(raster, "_interpolate", record)
+        fb = main_pass(scene, None, config(width=8, height=8, workers=workers))
+        monkeypatch.undo()
+        assert np.argwhere(np.isfinite(fb.depth[..., 0])).tolist() == [[3, 2], [4, 2]]
+        renders.append((sorted(flags), fb.color.tobytes(), fb.depth.tobytes()))
+    assert renders[0] == renders[1]
 
 
 def test_missing_camera_is_configuration_error():
@@ -684,7 +726,7 @@ def test_depth_tie_below_float32_resolution_goes_to_later_triangle():
             wnrm_iw=np.tile([0.0, 0.0, 1.0], (len(tris), 3, 1)),
             material=np.array([m for _, m in tris], dtype=np.int32))
         fb = create_framebuffer(8, 8, 4)
-        _raster_band(fb, batch, scene, None, np.zeros(3), False, 0, 8)
+        cover_then_shade(fb, batch, scene, [(0, 8)])
         return fb
 
     both, only_a, only_b = render((z_a, 0), (z_b, 1)), render((z_a, 0)), render((z_b, 1))
@@ -729,9 +771,7 @@ def nudge_ulps(v, rng, most=3):
 
 def edge_setup(xy):
     """vx, vy, dx, dy, area2 and top_left as `_raster_band` derives them."""
-    vx, vy = xy[..., 0], xy[..., 1]
-    dx, dy = vx[:, [1, 2, 0]] - vx, vy[:, [1, 2, 0]] - vy
-    area2 = dx[:, 0] * (vy[:, 2] - vy[:, 0]) - dy[:, 0] * (vx[:, 2] - vx[:, 0])
+    vx, vy, dx, dy, area2 = raster._edges(xy)
     return vx, vy, dx, dy, area2, (dy < 0.0) | ((dy == 0.0) & (dx > 0.0))
 
 
@@ -826,7 +866,7 @@ def test_samples_covered_outside_the_box_stay_written(xy, msaa, count, sample):
     """Recorded from the one-pixel-margin rectangle: rounding makes the edge
     test cover these samples outside the triangle's closed box."""
     fb = create_framebuffer(128, 96, msaa)
-    _raster_band(fb, soup_batch(xy, 0), soup_scene(), None, np.zeros(3), False, 0, 96)
+    cover_then_shade(fb, soup_batch(xy, 0), soup_scene(), [(0, 96)])
     written = [tuple(s) for s in np.argwhere(np.isfinite(fb.depth))]
     assert len(written) == count
     assert sample in written
@@ -850,8 +890,7 @@ def test_sliver_soup_matches_pinned_sha256():
     digest = hashlib.sha256()
     for msaa in (1, 2, 4, 8):
         fb = create_framebuffer(64, 48, msaa)
-        for y0, y1 in ((0, 17), (17, 48)):
-            _raster_band(fb, batch, scene, None, np.zeros(3), False, y0, y1)
+        cover_then_shade(fb, batch, scene, [(0, 17), (17, 48)])
         digest.update(fb.color.tobytes())
         digest.update(fb.depth.tobytes())
     assert digest.hexdigest() == PINNED_SLIVER_SOUP_SHA256
