@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import dot_rows
+from .scene import check_invertible
 
 EPSILON_INTERSECT = 1e-9
 SHADOW_OFFSET = 1e-4
@@ -338,14 +339,14 @@ def build_tlas(transforms, blas_index, blases: list[Blas], node_names: list[str]
                frame_index: int = 0, inv_transforms=None) -> Tlas:
     """Full rebuild over K instances, no incremental refit: instance k is
     blases[blas_index[k]] at transforms[k], named node_names[k], and its
-    id is k.  Without inv_transforms the inverses come from one batched
-    inversion.  The Tlas keeps the arrays it is given, so each call needs
-    its own transforms and inverses.  An instance of a BLAS without
-    triangles is left out, as if absent; the others keep their ids."""
+    id is k; without inv_transforms, check_invertible makes the inverses.
+    The Tlas keeps the arrays it is given, so each call needs its own
+    transforms and inverses.  An instance of a BLAS without triangles is
+    left out, as if absent; the others keep their ids."""
     transforms = np.asarray(transforms, dtype=np.float64).reshape(-1, 4, 4)
     blas_index = np.asarray(blas_index, dtype=np.int64)
     if inv_transforms is None:
-        inv_transforms = np.linalg.inv(transforms)
+        inv_transforms = check_invertible(node_names, transforms, "instance")
     ids = np.flatnonzero(np.array([len(blas.tri_order) > 0 for blas in blases],
                                   dtype=bool)[blas_index])
     if len(ids) < len(transforms):

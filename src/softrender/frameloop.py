@@ -16,11 +16,11 @@ by geometry id) and sorts the draws, once per loop: the node set does
 not change within a loop, only the poses do.
 
 Frame order: flush slot queue -> apply external poses to the table ->
-rebuild TLAS from the table's mesh rows (build_tlas over their matrices,
-with the inverses the pose check computed) -> gather the draws' world
-matrices -> main pass -> display stage (resolve -> FXAA -> overlay ->
-write image -> record the image and stage timings) -> pace to the frame
-budget.
+rebuild TLAS from the table's mesh rows (build_tlas over their matrices
+and inverses: the pose check's, or the table's check of an unposed row
+the first time it is asked for) -> gather the draws' world matrices ->
+main pass -> display stage (resolve -> FXAA -> overlay -> write image ->
+record the image and stage timings) -> pace to the frame budget.
 
 With two frames in flight (RenderConfig.frames_in_flight = 2, the
 default) the display stage runs on one display thread.  Frame f's TLAS
@@ -214,10 +214,12 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     node with no scene.world entry and, when scene.world is empty and so
     computed here, a missing parent or a cycle; ConfigurationError for no
     camera, or none on config.camera.
+    In frame 0, after the BLAS build, ValidationError names an unposed mesh
+    node or the camera's node whose world transform is non-finite or singular.
     With two frames in flight, an error in frame f's display stage (an
     image write that fails, say) is raised at frame f + 1's slot fence,
     after its main pass, or when the loop ends; no later frame starts,
-    and the display thread is gone when the error reaches the caller.
+    and the display thread is gone when this or any error reaches the caller.
     """
     if not scene.world:
         refresh_world_transforms(scene)

@@ -98,23 +98,30 @@ class _Document:
             raise ValidationError(f"buffer {index} shorter than declared byteLength")
         return data
 
-    def read_accessor(self, index: int) -> np.ndarray:
+    def read_accessor(self, index: int, want_type: str, want_ctypes, label: str,
+                      want_count: int | None = None) -> np.ndarray:
+        """The accessor's values as float64 (float data) or int64, one row per
+        element; its type must be want_type, its componentType one of
+        want_ctypes, and its count want_count when given.  Float data must be
+        finite."""
         accessors = self.doc.get("accessors", [])
         if not (0 <= index < len(accessors)):
-            raise ValidationError(f"accessor index {index} out of range")
+            raise ValidationError(f"{label} accessor index {index} out of range")
         acc = accessors[index]
+        if acc["type"] != want_type:
+            raise ValidationError(f"{label} accessor has type {acc['type']}, expected {want_type}")
+        if acc["componentType"] not in want_ctypes:
+            raise UnsupportedFeatureError(f"{label} component type {acc['componentType']}")
+        count = acc["count"]
+        if want_count is not None and count != want_count:
+            raise ValidationError(f"{label} accessor has {count} entries for "
+                                  f"{want_count} vertices")
         if "sparse" in acc:
             raise UnsupportedFeatureError("sparse accessor")
         if acc.get("normalized", False):
             raise UnsupportedFeatureError("normalized accessor")
-        ctype = acc["componentType"]
-        if ctype not in _COMPONENT_DTYPES:
-            raise ValidationError(f"accessor {index}: unknown componentType {ctype}")
-        if acc["type"] not in _TYPE_COUNTS:
-            raise ValidationError(f"accessor {index}: unknown type {acc['type']}")
-        dtype, csize = _COMPONENT_DTYPES[ctype]
-        ncomp = _TYPE_COUNTS[acc["type"]]
-        count = acc["count"]
+        dtype, csize = _COMPONENT_DTYPES[acc["componentType"]]
+        ncomp = _TYPE_COUNTS[want_type]
         if count < 1:
             raise ValidationError(f"accessor {index} is empty")
         if "bufferView" not in acc:
@@ -145,6 +152,8 @@ class _Document:
             rows = np.arange(count)[:, None] * stride + np.arange(elem)[None, :]
             flat = np.ascontiguousarray(raw[rows]).view(dtype).reshape(-1)
         out = flat.astype(np.float64 if dtype == "<f4" else np.int64)
+        if dtype == "<f4" and not np.isfinite(out).all():
+            raise ValidationError(f"{label} accessor {index} holds non-finite values")
         return out.reshape(count, ncomp) if ncomp > 1 else out.reshape(count)
 
 
@@ -220,24 +229,8 @@ def _parse_geometry(d: _Document, mesh_index: int, mesh: dict) -> MeshGeometry:
     if "indices" not in prim:
         raise UnsupportedFeatureError("non-indexed geometry")
 
-    acc_defs = d.doc.get("accessors", [])
-
-    def typed(accessor_index, want_type, want_ctypes, label, want_count=None):
-        if not (0 <= accessor_index < len(acc_defs)):
-            raise ValidationError(f"{label} accessor index {accessor_index} out of range")
-        a = acc_defs[accessor_index]
-        if a["type"] != want_type:
-            raise ValidationError(f"{label} accessor has type {a['type']}, expected {want_type}")
-        if a["componentType"] not in want_ctypes:
-            raise UnsupportedFeatureError(
-                f"{label} component type {a['componentType']}")
-        if want_count is not None and a["count"] != want_count:
-            raise ValidationError(f"{label} accessor has {a['count']} entries for "
-                                  f"{want_count} vertices")
-        return d.read_accessor(accessor_index)
-
-    positions = typed(attrs["POSITION"], "VEC3", {5126}, "POSITION")
-    indices = typed(prim["indices"], "SCALAR", {5123, 5125}, "index")
+    positions = d.read_accessor(attrs["POSITION"], "VEC3", {5126}, "POSITION")
+    indices = d.read_accessor(prim["indices"], "SCALAR", {5123, 5125}, "index")
     if len(indices) % 3 != 0 or len(indices) < 3:
         raise ValidationError(f"mesh {mesh_index}: index count {len(indices)} is not a positive multiple of 3")
     triangles = indices.reshape(-1, 3)
@@ -246,7 +239,7 @@ def _parse_geometry(d: _Document, mesh_index: int, mesh: dict) -> MeshGeometry:
             f"dangling index {int(triangles.max())} (mesh has {len(positions)} vertices)")
 
     if "NORMAL" in attrs:
-        normals = typed(attrs["NORMAL"], "VEC3", {5126}, "NORMAL", len(positions))
+        normals = d.read_accessor(attrs["NORMAL"], "VEC3", {5126}, "NORMAL", len(positions))
         lengths = np.linalg.norm(normals, axis=1)
         bad = lengths < 1e-20
         if np.any(bad):
@@ -257,8 +250,8 @@ def _parse_geometry(d: _Document, mesh_index: int, mesh: dict) -> MeshGeometry:
         normals = generate_vertex_normals(positions, triangles)
 
     if "TEXCOORD_0" in attrs:
-        uvs = np.clip(typed(attrs["TEXCOORD_0"], "VEC2", {5126}, "TEXCOORD_0", len(positions)),
-                      0.0, 1.0)
+        uvs = np.clip(d.read_accessor(attrs["TEXCOORD_0"], "VEC2", {5126}, "TEXCOORD_0",
+                                      len(positions)), 0.0, 1.0)
     else:
         uvs = np.zeros((len(positions), 2), dtype=np.float64)
 

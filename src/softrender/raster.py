@@ -57,7 +57,7 @@ class Draws:
     groups draws that share both material state and geometry.
     """
 
-    node_names: list[str]
+    node_names: np.ndarray  # (D,) object: node names
     geometry: np.ndarray  # (D,) geometry ids
     material: np.ndarray  # (D,) int32 material ids
     world: np.ndarray     # (D, 4, 4) world matrices
@@ -75,7 +75,7 @@ def sort_draws(node_names: list[str], geometry: np.ndarray, material: np.ndarray
     by_name = np.array(sorted(range(len(node_names)), key=node_names.__getitem__),
                        dtype=np.int64)
     order = by_name[np.lexsort((geometry[by_name], material[by_name]))]
-    return Draws(node_names=[node_names[k] for k in order.tolist()], geometry=geometry[order],
+    return Draws(node_names=np.array(node_names, dtype=object)[order], geometry=geometry[order],
                  material=material[order].astype(np.int32), world=world[order], order=order)
 
 
@@ -108,10 +108,7 @@ def camera_world(scene: Scene, camera: Camera) -> np.ndarray:
 def camera_matrices(scene: Scene, camera: Camera, width: int, height: int):
     """(view, projection, eye position) for the camera node's world pose."""
     cam_world = camera_world(scene, camera)
-    try:
-        view = np.linalg.inv(cam_world)
-    except np.linalg.LinAlgError:
-        raise ValidationError(f"camera node '{camera.node}' has a singular transform") from None
+    view = check_invertible([camera.node], cam_world[None], "camera node")[0]
     proj = perspective(camera.vertical_fov, width / height, camera.near, camera.far)
     return view, proj, cam_world[:3, 3].copy()
 
@@ -206,11 +203,7 @@ def _geometry_stage(scene: Scene, draws: Draws, view, proj, width, height,
                 continue
 
         wpos = geo.positions @ m[:, :3, :3].transpose(0, 2, 1) + m[:, None, :3, 3]
-        try:
-            inv = np.linalg.inv(m[:, :3, :3])
-        except np.linalg.LinAlgError:
-            check_invertible([draws.node_names[r] for r in rank], m[:, :3, :3], "node")
-            raise
+        inv = check_invertible(draws.node_names[rank], m[:, :3, :3], "node")
         wnrm = geo.normals @ inv  # row n becomes inv(M3).T @ n, the normal matrix
 
         tri = geo.triangles.astype(np.int64)

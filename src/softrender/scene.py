@@ -10,6 +10,7 @@ matrices, so recomputing from the hierarchy afterwards would be wrong).
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -53,7 +54,11 @@ class MaterialPbr:
     material_id: int
 
     def __post_init__(self):
-        self.base_color = np.clip(np.asarray(self.base_color, dtype=np.float64), 0.0, 1.0)
+        base_color = np.asarray(self.base_color, dtype=np.float64)
+        if not (np.isfinite(base_color).all() and math.isfinite(self.metallic)
+                and math.isfinite(self.roughness)):
+            raise ValidationError(f"material {self.material_id}: non-finite factor")
+        self.base_color = np.clip(base_color, 0.0, 1.0)
         self.metallic = float(np.clip(self.metallic, 0.0, 1.0))
         self.roughness = float(np.clip(self.roughness, 0.0, 1.0))
 
@@ -65,7 +70,10 @@ class PointLight:
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=np.float64)
-        self.intensity = np.maximum(np.asarray(self.intensity, dtype=np.float64), 0.0)
+        intensity = np.asarray(self.intensity, dtype=np.float64)
+        if not (np.isfinite(self.position).all() and np.isfinite(intensity).all()):
+            raise ValidationError("point light: non-finite position or intensity")
+        self.intensity = np.maximum(intensity, 0.0)
 
 
 @dataclass
@@ -80,8 +88,8 @@ class Camera:
     def __post_init__(self):
         if not (0.0 < self.vertical_fov < np.pi):
             raise ValidationError(f"camera '{self.node}': vertical fov out of range")
-        if self.near <= 0.0 or self.far <= self.near:
-            raise ValidationError(f"camera '{self.node}': need 0 < near < far")
+        if not (0.0 < self.near < self.far < np.inf):  # False for a NaN too
+            raise ValidationError(f"camera '{self.node}': need 0 < near < far < inf")
 
 
 @dataclass
@@ -193,10 +201,10 @@ def refresh_world_transforms(scene: Scene) -> None:
 def check_invertible(names, mats: np.ndarray, what: str) -> np.ndarray:
     """The inverses of the (N, n, n) mats; ValidationError unless every one is finite and invertible.
 
-    The message names the first bad matrix as "{what} '{name}'".  The TLAS
-    build and the renderer invert every node transform, so a matrix that
-    fails here would otherwise surface as a LinAlgError mid-frame; the
-    renderer passes the 3x3 blocks it inverts for normals.
+    The message names the first bad matrix as "{what} '{name}'".  This is
+    the one place the package inverts a transform (poses, unposed table
+    rows, TLAS instances, the camera, normal matrices), so a bad one
+    never surfaces as a LinAlgError or renders as garbage.
     """
     finite = np.isfinite(mats).all(axis=(1, 2))
     if not finite.all():
@@ -222,7 +230,7 @@ class WorldTable:
     Rows are looked up once per names list: a snapshot's list of names
     (a reader's roster) must not change after it is applied.
     The table keeps the inverse of every row whose pose came with a
-    checked inverse and computes the others only when asked for them.
+    checked inverse and checks and inverts the others only when asked.
     A snapshot with the last applied names list and matrices byte for byte
     equal to the last applied ones (a reader that saw no new generation)
     is not checked or written again.
@@ -230,7 +238,8 @@ class WorldTable:
 
     def __init__(self, scene: Scene):
         self.world = scene.world
-        self.rows = dict(zip(scene.world, range(len(scene.world))))
+        self.names = list(scene.world)
+        self.rows = dict(zip(self.names, range(len(self.names))))
         self.matrices = np.concatenate([np.zeros((0, 4)), *scene.world.values()],
                                        dtype=np.float64).reshape(-1, 4, 4)
         self._inverses = np.empty_like(self.matrices)
@@ -272,7 +281,8 @@ class WorldTable:
         """(len(rows), 4, 4) inverses of those rows, inverting only the rows that lack one."""
         stale = rows[~self._inverted[rows]]
         if len(stale):
-            self._inverses[stale] = np.linalg.inv(self.matrices[stale])
+            self._inverses[stale] = check_invertible([self.names[r] for r in stale],
+                                                     self.matrices[stale], "node")
             self._inverted[stale] = True
         return self._inverses[rows]
 

@@ -37,6 +37,7 @@ from softrender.accel import (
     shadow_visibility,
     tlas_dump_text,
 )
+from softrender.errors import ValidationError
 from softrender.frameloop import build_scene_blases
 from softrender.gltf import load_gltf
 from softrender.linalg import rotate_y, rotate_z, translate, scale
@@ -156,6 +157,12 @@ def test_blas_every_node_reachable_exactly_once():
             stack.append(int(blas.node_left[ni]))
             stack.append(int(blas.node_right[ni]))
     assert np.all(seen == 1)
+
+
+def test_tlas_without_inverses_rejects_a_singular_transform_naming_the_instance():
+    blas = build_blas(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]), np.array([[0, 1, 2]]))
+    with pytest.raises(ValidationError, match="instance 'flat' holds a singular matrix"):
+        build_tlas([np.eye(4), np.diag([1.0, 1.0, 0.0, 1.0])], [0, 0], [blas], ["tri", "flat"])
 
 
 def test_blas_without_triangles_is_one_empty_leaf_left_out_of_the_tlas():

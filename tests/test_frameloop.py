@@ -11,7 +11,7 @@ import pytest
 from softrender import frameloop
 from softrender import scene as scene_module
 from softrender.accel import build_tlas, serialize_tlas
-from softrender.errors import ConfigurationError
+from softrender.errors import ConfigurationError, ValidationError
 from softrender.framebuffer import ppm_bytes, read_ppm, resolve_msaa
 from softrender.frameloop import (
     SLOT_COUNT,
@@ -448,6 +448,19 @@ def test_display_stage_error_stops_the_loop(monkeypatch, tmp_path):
                        output_prefix=str(tmp_path / "seq"),
                        on_frame=lambda i, resources: started.append(i))
     assert started == [0, 1, 2, 3]  # frame 2's error surfaces at frame 3's fence
+    assert display_threads() == []
+
+
+@pytest.mark.parametrize("shadows", [True, False], ids=["shadows", "no-shadows"])
+@pytest.mark.parametrize("bad", [np.diag([0.0, 0.0, 0.0, 1.0]), np.full((4, 4), np.nan),
+                                 np.full((4, 4), np.inf)], ids=["singular", "nan", "inf"])
+def test_bad_unposed_world_transform_raises_naming_the_node(bad, shadows):
+    """A mesh node no pose replaces is checked in frame 0, at the TLAS's
+    inverses, whether or not shadows would read the TLAS."""
+    scene = make_shadow_scene()
+    scene.world["blocker"] = bad
+    with pytest.raises(ValidationError, match="node 'blocker' holds a"):
+        run_frame_loop(scene, small_config(shadows=shadows), frames=2)
     assert display_threads() == []
 
 

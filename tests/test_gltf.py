@@ -441,6 +441,57 @@ def test_bad_node_transform_rejected(transform, needle):
         parse(doc)
 
 
+def lit_camera_doc():
+    """tri_doc with a material, a camera and a point light, all finite."""
+    doc = tri_doc()
+    doc["materials"] = [{"pbrMetallicRoughness": {"baseColorFactor": [0.8, 0.3, 0.2, 1.0],
+                                                  "roughnessFactor": 0.6}}]
+    doc["meshes"][0]["primitives"][0]["material"] = 0
+    doc["cameras"] = [{"type": "perspective",
+                       "perspective": {"yfov": 1.0, "znear": 0.5, "zfar": 80.0}}]
+    doc["extensions"] = {"KHR_lights_punctual": {"lights": [{"type": "point", "intensity": 8.0}]}}
+    doc["nodes"] += [{"name": "cam", "camera": 0, "translation": [0, 0, 5]},
+                     {"name": "lamp", "translation": [1, 2, 3],
+                      "extensions": {"KHR_lights_punctual": {"light": 0}}}]
+    doc["scenes"][0]["nodes"] += [1, 2]
+    return doc
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("table, key, value, needle", [
+    ("cameras", "znear", _NAN, "camera 'cam'"),
+    ("cameras", "zfar", _INF, "camera 'cam'"),
+    ("materials", "baseColorFactor", [_NAN, 0.3, 0.2, 1.0], "material 0"),
+    ("materials", "roughnessFactor", _NAN, "material 0"),
+    ("lights", "intensity", _NAN, "point light"),
+    ("lights", "intensity", _INF, "point light"),
+], ids=["nan-znear", "inf-zfar", "nan-base-color", "nan-roughness", "nan-intensity",
+        "inf-intensity"])
+def test_non_finite_scene_value_rejected(table, key, value, needle):
+    doc = lit_camera_doc()
+    assert len(parse(doc).lights) == 1
+    target = {"cameras": doc["cameras"][0]["perspective"],
+              "materials": doc["materials"][0]["pbrMetallicRoughness"],
+              "lights": doc["extensions"]["KHR_lights_punctual"]["lights"][0]}[table]
+    target[key] = value
+    text = json.dumps(doc)  # Python's json writes and reads NaN and Infinity
+    assert "NaN" in text or "Infinity" in text
+    with pytest.raises(ValidationError, match=needle):
+        parse_gltf_subset(text.encode())
+
+
+@pytest.mark.parametrize("bad", [_NAN, _INF, -_INF], ids=["nan", "inf", "-inf"])
+def test_non_finite_position_rejected_naming_the_accessor(bad):
+    doc = tri_doc()
+    pos = pack_floats(TRI_POSITIONS[:4] + [bad] + TRI_POSITIONS[5:])
+    raw = pos + pack_u16([0, 1, 2]) + b"\x00\x00"
+    doc["buffers"][0] = {"uri": data_uri(raw), "byteLength": len(raw)}
+    with pytest.raises(ValidationError, match="POSITION accessor 0 holds non-finite values"):
+        parse(doc)
+
+
 def test_no_scenes_rejected():
     doc = tri_doc()
     del doc["scenes"]

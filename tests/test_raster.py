@@ -596,6 +596,14 @@ def test_singular_draw_transform_raises_naming_the_node():
     assert np.isfinite(fb.depth).any()
 
 
+@pytest.mark.parametrize("node, needle", [("cam", "camera node 'cam'"), ("blocker", "node 'blocker'")])
+def test_non_finite_camera_or_draw_transform_raises_naming_the_node(node, needle):
+    scene = make_shadow_scene()
+    scene.world[node] = np.full((4, 4), np.nan)
+    with pytest.raises(ValidationError, match=f"{needle} holds a non-finite matrix"):
+        main_pass(scene, None, config())
+
+
 def test_worker_count_does_not_change_output(monkeypatch):
     """Bands split only coverage: each frame is shaded in one batch, with
     one shadow batch per light, whatever the worker count."""

@@ -1,6 +1,8 @@
 """Repository tooling tests: the scripts under tools/ reproduce what is checked
-in, and the scripts under demos/ and framebench/ still import."""
+in, the scripts under demos/ and framebench/ still import, and the package's
+source keeps its one matrix inversion."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -48,3 +50,34 @@ def test_framebench_imports(monkeypatch):
     spec = importlib.util.spec_from_file_location("framebench_writer",
                                                   REPO_ROOT / "framebench" / "writer.py")
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def linalg_inv_sites(tree):
+    """(function, line) of every np.linalg.inv reference in a module's syntax tree;
+    function is the dotted name of the enclosing defs, "" at module level."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        refers = ((isinstance(node, ast.Attribute) and node.attr == "inv"
+                   and ast.unparse(node.value).endswith("linalg"))
+                  or (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                      and any(alias.name == "inv" for alias in node.names)))
+        if refers:
+            sites.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sites
+
+
+def test_only_check_invertible_inverts_a_matrix():
+    # a transform inverted anywhere else could fail as a LinAlgError or
+    # render a NaN as garbage; check_invertible raises ValidationError instead
+    package = Path(softrender.__file__).parent
+    sites = [(path.name, func, line) for path in sorted(package.glob("*.py"))
+             for func, line in linalg_inv_sites(ast.parse(path.read_text()))]
+    assert [s for s in sites if s[:2] != ("scene.py", "check_invertible")] == []
+    assert sites  # the walk does see check_invertible's own calls
