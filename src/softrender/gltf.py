@@ -8,8 +8,9 @@ perspective cameras, and KHR_lights_punctual point lights.
 
 Anything outside that subset raises UnsupportedFeatureError naming the
 feature rather than degrading silently; structural problems (dangling
-indices, duplicate names, cycles, non-finite or singular node transforms)
-raise ValidationError.
+indices, duplicate names, cycles, non-finite or singular node transforms,
+missing required keys, values of the wrong JSON type) raise
+ValidationError.
 """
 
 from __future__ import annotations
@@ -298,7 +299,14 @@ def parse_gltf_subset(data, base_dir=None) -> Scene:
         raise ParseError(f"malformed JSON: {e.msg}", offset=e.pos) from None
     if not isinstance(doc, dict):
         raise ParseError("top level is not a JSON object", offset=0)
+    try:
+        return _parse_document(doc, base_dir)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        # a field of the wrong JSON type or a missing required key
+        raise ValidationError(f"malformed glTF document: {type(exc).__name__}: {exc}") from exc
 
+
+def _parse_document(doc: dict, base_dir) -> Scene:
     _require_version(doc)
     _reject_global_features(doc)
     d = _Document(doc, base_dir)

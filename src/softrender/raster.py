@@ -42,7 +42,7 @@ from .accel import shadow_mask
 from .errors import ConfigurationError, ValidationError
 from .framebuffer import SAMPLE_POSITIONS, Framebuffer, clear_framebuffer, create_framebuffer
 from .linalg import dot_rows, normalize, perspective
-from .scene import Camera, Scene, check_invertible, mesh_instances
+from .scene import Camera, Scene, check_finite, check_invertible, mesh_instances
 from .shading import ShadingSample, linear_to_srgb, reinhard_tonemap, shade_direct
 
 if TYPE_CHECKING:  # frameloop imports this module
@@ -177,10 +177,12 @@ def _geometry_stage(scene: Scene, draws: Draws, view, proj, width, height,
     depth ties depend on this order.  Degenerate triangles drop: zero area,
     and areas below the smallest normal float, which would divide depth to
     inf.  Winding is normalized so edge functions are positive inside,
-    flipping index order when needed.
+    flipping index order when needed.  Every draw's world matrix must be
+    finite, culled or not.
     """
     vp = proj @ view
     geometry, material, world = draws.geometry, draws.material, draws.world
+    check_finite(draws.node_names, world, "node")
     # (clip, wpos, wnrm) vertex rows, then (tri, draw rank, clipped, triangle, fan) per triangle
     parts = [(np.zeros((0, 4)), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3), np.int64),
               *[np.zeros(0, np.int64)] * 4)]

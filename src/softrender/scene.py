@@ -198,6 +198,14 @@ def refresh_world_transforms(scene: Scene) -> None:
     scene.world = compute_world_transforms(scene)
 
 
+def check_finite(names, mats: np.ndarray, what: str) -> None:
+    """ValidationError naming the first of the (N, n, n) mats that holds a NaN or inf
+    as "{what} '{name}'"."""
+    if not np.isfinite(mats).all():  # the per-matrix pass runs only on failure
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        raise ValidationError(f"{what} '{names[int(np.argmin(finite))]}' holds a non-finite matrix")
+
+
 def check_invertible(names, mats: np.ndarray, what: str) -> np.ndarray:
     """The inverses of the (N, n, n) mats; ValidationError unless every one is finite and invertible.
 
@@ -206,9 +214,7 @@ def check_invertible(names, mats: np.ndarray, what: str) -> np.ndarray:
     rows, TLAS instances, the camera, normal matrices), so a bad one
     never surfaces as a LinAlgError or renders as garbage.
     """
-    finite = np.isfinite(mats).all(axis=(1, 2))
-    if not finite.all():
-        raise ValidationError(f"{what} '{names[int(np.argmin(finite))]}' holds a non-finite matrix")
+    check_finite(names, mats, what)
     try:
         return np.linalg.inv(mats)
     except np.linalg.LinAlgError:

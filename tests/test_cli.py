@@ -103,6 +103,17 @@ def test_render_invalid_gltf_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_render_malformed_gltf_is_runtime_error(tmp_path, triangle_gltf, capsys):
+    doc = json.loads(triangle_gltf.read_text())
+    del doc["accessors"][0]["type"]
+    bad = tmp_path / "bad.gltf"
+    bad.write_text(json.dumps(doc))
+    code = run_cli("render", "--scene", str(bad), "--out", str(tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed glTF document")
+
+
 def test_module_entry_point_subprocess(tmp_path, triangle_gltf):
     out = tmp_path / "sub"
     # the child imports the package this process imported, installed or not

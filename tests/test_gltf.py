@@ -482,6 +482,43 @@ def test_non_finite_scene_value_rejected(table, key, value, needle):
         parse_gltf_subset(text.encode())
 
 
+_DELETE = object()
+
+
+@pytest.mark.parametrize("make, path, value", [
+    (tri_doc, ("accessors", 0, "type"), _DELETE),
+    (tri_doc, ("accessors", 0, "componentType"), _DELETE),
+    (tri_doc, ("accessors", 0, "count"), _DELETE),
+    (tri_doc, ("bufferViews", 0, "buffer"), _DELETE),
+    (tri_doc, ("nodes", 0, "mesh"), "0"),
+    (tri_doc, ("accessors", 0, "count"), "3"),
+    (tri_doc, ("meshes", 0, "primitives", 0, "attributes", "POSITION"), "0"),
+    (tri_doc, ("scenes", 0, "nodes"), "0"),
+    (tri_doc, ("nodes", 0, "children"), 5),
+    (lit_camera_doc, ("cameras", 0, "perspective", "znear"), None),
+    (lit_camera_doc, ("materials", 0, "pbrMetallicRoughness", "metallicFactor"), "a"),
+    (lit_camera_doc, ("materials", 0, "pbrMetallicRoughness", "roughnessFactor"), [1]),
+    (tri_doc, ("nodes",), {"0": {"name": "tri", "mesh": 0}}),
+    (lit_camera_doc, ("cameras", 0, "perspective", "yfov"), "x"),
+    (lit_camera_doc, ("extensions", "KHR_lights_punctual", "lights", 0, "intensity"), "x"),
+    (lit_camera_doc, ("extensions", "KHR_lights_punctual", "lights", 0, "color"), "abc"),
+], ids=["no-type", "no-componentType", "no-count", "no-buffer", "text-mesh", "text-count",
+        "text-position", "text-scene-nodes", "int-children", "null-znear", "text-metallic",
+        "list-roughness", "object-nodes", "text-yfov", "text-intensity", "text-color"])
+def test_malformed_document_raises_validation_error(make, path, value):
+    doc = make()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    with pytest.raises(ValidationError, match="malformed glTF document") as info:
+        parse(doc)
+    assert isinstance(info.value.__cause__, (KeyError, TypeError, ValueError, AttributeError))
+
+
 @pytest.mark.parametrize("bad", [_NAN, _INF, -_INF], ids=["nan", "inf", "-inf"])
 def test_non_finite_position_rejected_naming_the_accessor(bad):
     doc = tri_doc()

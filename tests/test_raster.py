@@ -596,12 +596,25 @@ def test_singular_draw_transform_raises_naming_the_node():
     assert np.isfinite(fb.depth).any()
 
 
-@pytest.mark.parametrize("node, needle", [("cam", "camera node 'cam'"), ("blocker", "node 'blocker'")])
-def test_non_finite_camera_or_draw_transform_raises_naming_the_node(node, needle):
+@pytest.mark.parametrize("node, needle, entry, value, culling", [
+    ("cam", "camera node 'cam'", ..., np.nan, False),
+    ("blocker", "node 'blocker'", ..., np.nan, False),
+    # the translation column is outside the 3x3 block the normals invert, and
+    # an inf x makes the cull drop the draw: the whole matrix is checked first
+    ("blocker", "node 'blocker'", (0, 3), np.nan, False),
+    ("blocker", "node 'blocker'", (0, 3), np.nan, True),
+    ("blocker", "node 'blocker'", (0, 3), np.inf, False),
+    ("blocker", "node 'blocker'", (0, 3), np.inf, True),
+], ids=["cam-camera node 'cam'", "blocker-node 'blocker'", "nan-translation-culling-off",
+        "nan-translation-culling-on", "inf-translation-culling-off",
+        "inf-translation-culling-on"])
+def test_non_finite_camera_or_draw_transform_raises_naming_the_node(node, needle, entry, value,
+                                                                    culling):
     scene = make_shadow_scene()
-    scene.world[node] = np.full((4, 4), np.nan)
+    scene.world[node] = scene.world[node].copy()
+    scene.world[node][entry] = value
     with pytest.raises(ValidationError, match=f"{needle} holds a non-finite matrix"):
-        main_pass(scene, None, config())
+        main_pass(scene, None, config(frustum_culling=culling))
 
 
 def test_worker_count_does_not_change_output(monkeypatch):

@@ -1,10 +1,13 @@
 """Repository tooling tests: the scripts under tools/ reproduce what is checked
-in, the scripts under demos/ and framebench/ still import, and the package's
-source keeps its one matrix inversion."""
+in, the scripts under framebench/ still import, the README's command lines
+parse, and the package's source keeps its one matrix inversion."""
 
+import argparse
 import ast
 import importlib.util
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import softrender
+from softrender import cli
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,13 +35,22 @@ def test_make_scenes_reproduces_the_checked_in_assets(tmp_path, repo_root, scene
         assert (tmp_path / name).read_bytes() == (scenes_dir / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("script", sorted(p.name for p in (REPO_ROOT / "demos").glob("*.py")))
-def test_demo_imports(script):
-    # a demo does its work only under __main__, so importing it checks just that
-    # every name it imports from the package still exists
-    spec = importlib.util.spec_from_file_location(f"demo_{Path(script).stem}",
-                                                  REPO_ROOT / "demos" / script)
-    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+def test_readme_recipes_parse():
+    # the README's recipes are the only walk-throughs of the CLI, so each
+    # `softrender` line of its sh blocks must stay a valid command line and
+    # every subcommand must have one
+    blocks = re.findall(r"^```sh\n(.*?)^```", (REPO_ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [line.strip() for line in lines if line.strip().startswith("softrender ")]
+    parser = cli._build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {shlex.split(line)[1] for line in commands} == set(subcommands.choices)
 
 
 def test_framebench_imports(monkeypatch):
