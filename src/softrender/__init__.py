@@ -36,8 +36,7 @@ from .overlay import format_stats, overlay_pass, render_text
 from .raster import Draws, build_draws, main_pass
 from .scene import (
     Camera, MaterialPbr, MeshGeometry, PointLight, Scene, SceneNode,
-    WorldTable, compute_world_transforms, duplicate_scene_geometry,
-    refresh_world_transforms, scene_from_dump, scene_to_dump, validate_scene,
+    WorldTable, compute_world_transforms, duplicate_scene_geometry, refresh_world_transforms,
 )
 from .shading import (
     BrdfParams, ShadingSample, cook_torrance_specular, derive_f0,

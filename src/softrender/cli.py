@@ -164,6 +164,8 @@ def _cmd_demo(args) -> int:
             if snapshot.generation != last_gen:
                 last_gen = snapshot.generation
                 return snapshot
+            if not proc.is_alive():  # read first: the stub's last pose counts
+                raise TimeoutError("the physics stub has exited")
             if time.monotonic() >= wait_until:
                 raise TimeoutError("no fresh pose within the timeout")
             time.sleep(0.002)
@@ -192,8 +194,15 @@ def _cmd_demo(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "interchange-demo" and args.tick_hz <= 0.0:
-        parser.error("--tick-hz must be positive")
+    if args.command in ("render", "interchange-demo") and args.frames < 1:
+        parser.error("--frames must be at least 1")
+    if args.command == "interchange-demo":
+        if args.tick_hz <= 0.0:
+            parser.error("--tick-hz must be positive")
+        if args.nodes < 1:
+            parser.error("--nodes must be at least 1")
+        if not args.pose_timeout >= 0.0:  # NaN too
+            parser.error("--pose-timeout must be non-negative")
     if args.command == "bench":
         if args.doublings < 1:
             parser.error("--doublings must be at least 1")

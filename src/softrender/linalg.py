@@ -113,11 +113,6 @@ def perspective(vertical_fov: float, aspect: float, near: float, far: float) -> 
     return m
 
 
-def mat_to_column_major(m: np.ndarray) -> list[float]:
-    """16 floats, column by column (glTF / transform-table order)."""
-    return [float(v) for v in np.asarray(m, dtype=np.float64).flatten(order="F")]
-
-
 def mat_from_column_major(values) -> np.ndarray:
     a = np.asarray(list(values), dtype=np.float64)
     if a.shape != (16,):

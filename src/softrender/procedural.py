@@ -85,31 +85,22 @@ def octa_geometry(size: float = 1.0) -> MeshGeometry:
 
 def sphere_geometry(radius: float = 0.5, lat_bands: int = 8, lon_bands: int = 12) -> MeshGeometry:
     """Lat-long sphere with shared vertices and smooth normals."""
-    lats = np.linspace(0.0, np.pi, lat_bands + 1)
-    lons = np.linspace(0.0, 2.0 * np.pi, lon_bands + 1)
-    verts, uvs = [], []
-    for i, th in enumerate(lats):
-        for j, ph in enumerate(lons):
-            verts.append((radius * np.sin(th) * np.cos(ph),
-                          radius * np.cos(th),
-                          radius * np.sin(th) * np.sin(ph)))
-            uvs.append((j / lon_bands, i / lat_bands))
-    verts = np.array(verts)
-    tris = []
+    th = np.linspace(0.0, np.pi, lat_bands + 1)[:, None]
+    ph = np.linspace(0.0, 2.0 * np.pi, lon_bands + 1)
+    ring = radius * np.sin(th)
+    verts = np.stack(np.broadcast_arrays(ring * np.cos(ph), radius * np.cos(th), ring * np.sin(ph)),
+                     axis=-1).reshape(-1, 3)
+    uvs = np.stack(np.broadcast_arrays(np.arange(lon_bands + 1) / lon_bands,
+                                       np.arange(lat_bands + 1)[:, None] / lat_bands),
+                   axis=-1).reshape(-1, 2)
     cols = lon_bands + 1
-    for i in range(lat_bands):
-        for j in range(lon_bands):
-            v00 = i * cols + j
-            v01 = v00 + 1
-            v10 = v00 + cols
-            v11 = v10 + 1
-            if i > 0:
-                tris.append((v00, v01, v10))
-            if i < lat_bands - 1:
-                tris.append((v01, v11, v10))
+    v00 = (cols * np.arange(lat_bands)[:, None] + np.arange(lon_bands)).ravel()
+    v10 = v00 + cols
+    quads = np.stack([v00, v00 + 1, v10, v00 + 1, v10 + 1, v10], axis=1).reshape(-1, 2, 3)
+    # each quad's two triangles in order; the pole rows keep only their non-degenerate one
+    tris = quads[np.stack([v00 >= cols, v10 < lat_bands * cols], axis=1)]
     normals = verts / np.linalg.norm(verts, axis=1, keepdims=True)
-    return MeshGeometry(positions=verts, normals=normals, uvs=np.array(uvs),
-                        triangles=np.array(tris, dtype=np.int32))
+    return MeshGeometry(positions=verts, normals=normals, uvs=uvs, triangles=tris)
 
 
 def make_triangle_scene() -> Scene:

@@ -9,7 +9,6 @@ matrices, so recomputing from the hierarchy afterwards would be wrong).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import mat_from_column_major, mat_to_column_major, translate
+from .linalg import translate
 
 
 @dataclass
@@ -118,12 +117,6 @@ class Scene:
             self.clear_color = np.zeros(3, dtype=np.float64)
         self.clear_color = np.clip(np.asarray(self.clear_color, dtype=np.float64), 0.0, 1.0)
 
-    def node_by_name(self, name: str) -> SceneNode:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(name)
-
     def mesh_nodes(self) -> list[SceneNode]:
         return [n for n in self.nodes if n.mesh_instance is not None]
 
@@ -163,12 +156,6 @@ def check_references(scene: Scene, mesh_names, geometry, material) -> None:
     for cam in scene.cameras:
         if cam.node not in names:
             raise ValidationError(f"camera references missing node '{cam.node}'")
-
-
-def validate_scene(scene: Scene) -> None:
-    """check_references, then the forest property: parents exist, no cycles."""
-    check_references(scene, *mesh_instances(scene))
-    compute_world_transforms(scene)
 
 
 def compute_world_transforms(scene: Scene) -> dict[str, np.ndarray]:
@@ -358,84 +345,3 @@ def duplicate_scene_geometry(scene: Scene, doublings: int) -> Scene:
             out.world[clone_name] = local.copy()
     return out
 
-
-# ---------------------------------------------------------------------------
-# Debug dump: a JSON form of every container, exact enough to round-trip.
-
-def scene_to_dump(scene: Scene) -> str:
-    doc = {
-        "geometries": [
-            {
-                "positions": g.positions.flatten().tolist(),
-                "normals": g.normals.flatten().tolist(),
-                "uvs": g.uvs.flatten().tolist(),
-                "triangles": g.triangles.flatten().tolist(),
-            }
-            for g in scene.geometries
-        ],
-        "materials": [
-            {
-                "base_color": m.base_color.tolist(),
-                "metallic": m.metallic,
-                "roughness": m.roughness,
-                "material_id": m.material_id,
-            }
-            for m in scene.materials
-        ],
-        "lights": [
-            {"position": l.position.tolist(), "intensity": l.intensity.tolist()}
-            for l in scene.lights
-        ],
-        "cameras": [
-            {"node": c.node, "vertical_fov": c.vertical_fov, "near": c.near, "far": c.far}
-            for c in scene.cameras
-        ],
-        "nodes": [
-            {
-                "name": n.name,
-                "parent": n.parent,
-                "local": mat_to_column_major(n.local),
-                "mesh_instance": list(n.mesh_instance) if n.mesh_instance else None,
-            }
-            for n in scene.nodes
-        ],
-        "clear_color": scene.clear_color.tolist(),
-        "world": {k: mat_to_column_major(v) for k, v in scene.world.items()},
-    }
-    return json.dumps(doc, indent=1)
-
-
-def scene_from_dump(text: str) -> Scene:
-    doc = json.loads(text)
-    scene = Scene(
-        geometries=[
-            MeshGeometry(
-                positions=np.array(g["positions"]).reshape(-1, 3),
-                normals=np.array(g["normals"]).reshape(-1, 3),
-                uvs=np.array(g["uvs"]).reshape(-1, 2),
-                triangles=np.array(g["triangles"], dtype=np.int32).reshape(-1, 3),
-            )
-            for g in doc["geometries"]
-        ],
-        materials=[
-            MaterialPbr(base_color=m["base_color"], metallic=m["metallic"],
-                        roughness=m["roughness"], material_id=m["material_id"])
-            for m in doc["materials"]
-        ],
-        lights=[PointLight(position=l["position"], intensity=l["intensity"])
-                for l in doc["lights"]],
-        cameras=[Camera(node=c["node"], vertical_fov=c["vertical_fov"],
-                        near=c["near"], far=c["far"]) for c in doc["cameras"]],
-        nodes=[
-            SceneNode(
-                name=n["name"],
-                parent=n["parent"],
-                local=mat_from_column_major(n["local"]),
-                mesh_instance=tuple(n["mesh_instance"]) if n["mesh_instance"] else None,
-            )
-            for n in doc["nodes"]
-        ],
-        clear_color=np.array(doc["clear_color"]),
-    )
-    scene.world = {k: mat_from_column_major(v) for k, v in doc["world"].items()}
-    return scene

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import uuid
 from pathlib import Path
 
@@ -67,10 +68,12 @@ def test_render_timing_csv(tmp_path, triangle_gltf):
 
 
 def test_render_rejects_bad_msaa(tmp_path, triangle_gltf):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("render", "--scene", str(triangle_gltf),
-                "--out", str(tmp_path / "x"), "--msaa", "3")
-    assert exc.value.code == 2
+    # and frame counts that render nothing
+    for flag, value in (("--msaa", "3"), ("--frames", "0"), ("--frames", "-2")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("render", "--scene", str(triangle_gltf),
+                    "--out", str(tmp_path / "x"), flag, value)
+        assert exc.value.code == 2, (flag, value)
 
 
 def test_render_requires_scene_and_out(tmp_path, triangle_gltf):
@@ -206,9 +209,12 @@ def test_demo_with_gltf_scene(demo_gltf, capsys):
 
 
 def test_demo_rejects_nonpositive_tick_rate():
-    with pytest.raises(SystemExit) as exc:
-        run_cli("interchange-demo", "--tick-hz", "0")
-    assert exc.value.code == 2
+    # and the other counts that render nothing, before the stub starts
+    for flag, value in (("--tick-hz", "0"), ("--frames", "0"), ("--nodes", "0"),
+                        ("--pose-timeout", "-1"), ("--pose-timeout", "nan")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("interchange-demo", flag, value)
+        assert exc.value.code == 2, (flag, value)
 
 
 def test_demo_stub_crash_reported(capsys):
@@ -221,6 +227,19 @@ def test_demo_stub_crash_reported(capsys):
     assert "exited with code 3" in captured.err
     m = re.search(r"warnings=(\d+)", captured.out)
     assert m and int(m.group(1)) >= 1  # frames after the crash reuse poses
+
+
+def test_demo_stops_waiting_once_the_stub_has_exited(capsys):
+    start = time.monotonic()
+    code = run_cli("interchange-demo", "--frames", "4", "--nodes", "2",
+                   "--width", "24", "--height", "24",
+                   "--pose-timeout", "10", "--crash-after-ticks", "1",
+                   "--shm", demo_region())
+    elapsed = time.monotonic() - start
+    assert code == 1
+    m = re.search(r"warnings=(\d+)", capsys.readouterr().out)
+    assert m and int(m.group(1)) >= 1
+    assert elapsed < 10.0, elapsed  # not one --pose-timeout per frame
 
 
 def test_demo_scene_without_meshes_is_runtime_error(tmp_path, capsys):

@@ -154,7 +154,7 @@ def test_parent_child_chain_preserved():
     ]
     doc["scenes"] = [{"nodes": [0]}]
     scene = parse(doc)
-    child = scene.node_by_name("child")
+    child = next(n for n in scene.nodes if n.name == "child")
     assert child.parent == "parent"
     np.testing.assert_allclose(scene.world["child"][:3, 3], [1, 2, 0])
 

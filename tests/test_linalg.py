@@ -8,7 +8,6 @@ import pytest
 from softrender.linalg import (
     compose_trs,
     mat_from_column_major,
-    mat_to_column_major,
     normalize,
     perspective,
     quat_to_matrix,
@@ -104,12 +103,12 @@ def test_perspective_depth_monotone_nonlinear():
 
 
 def test_column_major_round_trip_and_layout():
+    np.testing.assert_array_equal(mat_from_column_major(range(16)),
+                                  np.arange(16.0).reshape(4, 4).T)
     m = translate(1, 2, 3) @ rotate_x(0.3) @ scale(1, 2, 1)
-    flat = mat_to_column_major(m)
-    assert len(flat) == 16
-    # column-major: translation lands in elements 12..14
-    assert flat[12:15] == [pytest.approx(1.0), pytest.approx(2.0), pytest.approx(3.0)]
-    np.testing.assert_allclose(mat_from_column_major(flat), m, atol=0)
+    flat = m.T.ravel()  # column by column, as glTF stores a matrix
+    assert flat[12:15].tolist() == [1.0, 2.0, 3.0]  # the translation
+    np.testing.assert_array_equal(mat_from_column_major(flat), m)
 
 
 def test_mat_from_column_major_rejects_wrong_length():
