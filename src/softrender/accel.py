@@ -4,25 +4,28 @@ Both levels come from one binned surface-area-heuristic build that
 splits every node of one tree depth in one array step.  A Blas (bottom
 level) is built once per geometry over object-space triangles; a
 geometry without triangles gets one empty leaf, and its instances are
-left out of the top level.  A Tlas (top level) is rebuilt from scratch
-every frame over the world-space boxes of the instances, given as
-arrays (transforms, BLAS indices, names; instance k has id k): one
-corner transform gives every world box, and the inverses come from the
-caller when it has them (the frame loop reuses those its pose check
-computed), else from one batched inversion.
+left out of the top level.  A Tlas (top level) is built over the
+world-space boxes of the instances, given as arrays (transforms, BLAS
+indices, names; instance k has id k): one corner transform gives every
+world box, and the inverses come from the caller when it has them (the
+frame loop reuses those its pose check computed), else from one batched
+inversion.  When only the transforms change, refit_tlas keeps the tree
+and recomputes its boxes bottom-up, leaves first, then one tree depth
+per step.
 Queries run in batches: rays walk each level as a frontier of (ray,
 node) pairs, every (ray, instance) pair moves into that instance's
 object space (so t stays in world units), and Moller-Trumbore runs over
 all (ray, triangle) pairs at once.  shadow_mask tests a batch of points;
 ray_closest_hit, ray_any_hit and shadow_visibility are batches of one.
-One pre-order walk serves compaction and the debug dumps.
+A pre-order walk gives compaction its node order.
 
 Conventions that tests rely on:
   - Intersection uses the Moller-Trumbore form with determinant cutoff
     EPSILON_INTERSECT; u, v, u+v boundaries are inclusive.
   - Closest-hit treats [t_min, t_max] as closed, any-hit as open.
   - Equal-t ties resolve to the lower (instance id, triangle index).
-  - Rebuilding from identical input is byte-identical.
+  - Rebuilding from identical input is byte-identical, and so is
+    refitting to the transforms a TLAS was built with.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ SHADOW_OFFSET = 1e-4
 SAH_BINS = 16
 LEAF_MAX_TRIS = 4
 LEAF_MAX_INSTANCES = 2
+# refit_tlas gives up once its nodes' surface area sum passes this multiple
+# of the build's: 1,024 orbiting demo bodies stay under 1.24x over 134
+# stub ticks, while a shuffle of their anchors reaches 50x and makes
+# shadow_mask 4-7x slower than on a new build
+REFIT_AREA_LIMIT = 2.0
 # corner c of a box takes hi on axis k where bit (2 - k) of c is set
 _CORNER_IS_HI = ((np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1).astype(bool)
 _AXES = np.arange(3)
@@ -333,11 +341,24 @@ class Tlas(_Nodes):
     world_lo: np.ndarray        # (K, 3) per-instance world bounds
     world_hi: np.ndarray
     frame_index: int = 0
+    # refit_tlas's (leaves, internal nodes by depth, the build's area sum),
+    # made by its first call
+    refit_plan: tuple | None = field(default=None, repr=False)
+
+
+def _world_boxes(blases: list[Blas], blas_index, transforms):
+    """(K, 3) world lo and hi of each instance: the eight corners of its
+    BLAS's root box, transformed."""
+    root_lo = np.array([blas.node_lo[0] for blas in blases]).reshape(-1, 3)[blas_index]
+    root_hi = np.array([blas.node_hi[0] for blas in blases]).reshape(-1, 3)[blas_index]
+    corners = np.where(_CORNER_IS_HI, root_hi[:, None], root_lo[:, None])
+    world = corners @ transforms[:, :3, :3].transpose(0, 2, 1) + transforms[:, None, :3, 3]
+    return world.min(axis=1), world.max(axis=1)
 
 
 def build_tlas(transforms, blas_index, blases: list[Blas], node_names: list[str],
                frame_index: int = 0, inv_transforms=None) -> Tlas:
-    """Full rebuild over K instances, no incremental refit: instance k is
+    """A new tree over K instances (refit_tlas moves them): instance k is
     blases[blas_index[k]] at transforms[k], named node_names[k], and its
     id is k; without inv_transforms, check_invertible makes the inverses.
     The Tlas keeps the arrays it is given, so each call needs its own
@@ -361,17 +382,67 @@ def build_tlas(transforms, blas_index, blases: list[Blas], node_names: list[str]
                     inst_order=np.zeros(0, dtype=np.int64),
                     world_lo=np.zeros((0, 3)), world_hi=np.zeros((0, 3)),
                     frame_index=frame_index)
-    root_lo = np.array([blas.node_lo[0] for blas in blases])[blas_index]
-    root_hi = np.array([blas.node_hi[0] for blas in blases])[blas_index]
-    corners = np.where(_CORNER_IS_HI, root_hi[:, None], root_lo[:, None])
-    world = corners @ transforms[:, :3, :3].transpose(0, 2, 1) + transforms[:, None, :3, 3]
-    world_lo = world.min(axis=1)
-    world_hi = world.max(axis=1)
+    world_lo, world_hi = _world_boxes(blases, blas_index, transforms)
     *nodes, order = _build_bvh_levels(world_lo, world_hi, LEAF_MAX_INSTANCES)
     return Tlas(*nodes, blases=list(blases), blas_index=blas_index, transforms=transforms,
                 inv_transforms=inv_transforms, node_names=node_names,
                 instance_ids=ids, inst_order=order,
                 world_lo=world_lo, world_hi=world_hi, frame_index=frame_index)
+
+
+def _area_sum(nodes: _Nodes) -> float:
+    return float(_surface_area((nodes.node_hi - nodes.node_lo).T).sum())
+
+
+def _refit_plan(nodes: _Nodes):
+    """The leaves that hold instances, in slot order, the internal nodes of
+    each depth, deepest first, from one frontier walk from the root, and
+    the node area sum."""
+    depths = []
+    node = np.zeros(1, np.int64)
+    while len(node):
+        inner = node[nodes.node_start[node] < 0]
+        depths.append(inner)
+        node = np.concatenate([nodes.node_left[inner], nodes.node_right[inner]])
+    leaf = np.flatnonzero(nodes.node_count > 0)
+    return leaf[nodes.node_start[leaf].argsort()], depths[::-1], _area_sum(nodes)
+
+
+def refit_tlas(tlas: Tlas, transforms, frame_index: int, inv_transforms=None) -> Tlas | None:
+    """tlas with its instances moved to new transforms, same tree; None
+    when that tree fits them too loosely and build_tlas should make one.
+
+    transforms (and inv_transforms) hold one matrix per instance build_tlas
+    was given, left-out ones included.  The world boxes are build_tlas's;
+    each leaf box is then the min/max of its instances' boxes, and each
+    internal box that of its children's, one depth per step, deepest
+    first.  Min and max are exact, so refitting to the transforms tlas was
+    built with gives build_tlas's bytes.  Queries on a refit tree give a
+    new build's answers, but a tree whose node area sum has passed
+    REFIT_AREA_LIMIT times the one tlas was built with gives None.
+    """
+    transforms = np.asarray(transforms, dtype=np.float64).reshape(-1, 4, 4)
+    ids = tlas.instance_ids
+    if len(ids) < len(transforms):
+        transforms = transforms[ids]
+        inv_transforms = None if inv_transforms is None else inv_transforms[ids]
+    if inv_transforms is None:
+        inv_transforms = check_invertible(tlas.node_names, transforms, "instance")
+    plan = tlas.refit_plan or _refit_plan(tlas)
+    leaf, depths, built_area = plan
+    world_lo, world_hi = _world_boxes(tlas.blases, tlas.blas_index, transforms)
+    lo, hi = tlas.node_lo.copy(), tlas.node_hi.copy()
+    start = tlas.node_start[leaf]
+    lo[leaf] = np.minimum.reduceat(world_lo[tlas.inst_order], start)
+    hi[leaf] = np.maximum.reduceat(world_hi[tlas.inst_order], start)
+    left, right = tlas.node_left, tlas.node_right
+    for inner in depths:
+        lo[inner] = np.minimum(lo[left[inner]], lo[right[inner]])
+        hi[inner] = np.maximum(hi[left[inner]], hi[right[inner]])
+    refit = replace(tlas, node_lo=lo, node_hi=hi, transforms=transforms,
+                    inv_transforms=inv_transforms, world_lo=world_lo, world_hi=world_hi,
+                    frame_index=frame_index, refit_plan=plan)
+    return refit if _area_sum(refit) <= REFIT_AREA_LIMIT * built_area else None
 
 
 def serialize_tlas(tlas: Tlas) -> bytes:
@@ -500,44 +571,3 @@ def shadow_mask(tlas: Tlas, points, normals, light_pos) -> np.ndarray:
 def shadow_visibility(tlas: Tlas, point, normal, light_pos) -> float:
     """shadow_mask of one point."""
     return float(shadow_mask(tlas, [point], [normal], light_pos)[0])
-
-
-# ---------------------------------------------------------------------------
-# Debug dumps.
-
-def _dump_text(header: str, nodes: _Nodes, leaf_text) -> str:
-    """Header, then one line per node in pre-order; leaf_text(slot range) lists a leaf."""
-    lines = [header]
-    for ni, depth in _preorder(nodes):
-        lo = nodes.node_lo[ni]
-        hi = nodes.node_hi[ni]
-        pad = "  " * depth
-        box = (f"[{lo[0]:.6g} {lo[1]:.6g} {lo[2]:.6g}] "
-               f"[{hi[0]:.6g} {hi[1]:.6g} {hi[2]:.6g}]")
-        if nodes.node_start[ni] >= 0:
-            s = int(nodes.node_start[ni])
-            slots = range(s, s + int(nodes.node_count[ni]))
-            lines.append(f"{pad}leaf {ni} {box} {leaf_text(slots)}")
-        else:
-            lines.append(f"{pad}node {ni} {box}")
-    return "\n".join(lines)
-
-
-def blas_dump_text(blas: Blas) -> str:
-    """One node per line, depth-first, with bounds and leaf triangle lists."""
-    return _dump_text(f"blas geometry={blas.geometry_id} nodes={blas.node_total} "
-                      f"compacted={blas.compacted}", blas,
-                      lambda slots: f"tris={[int(blas.tri_order[k]) for k in slots]}")
-
-
-def tlas_dump_text(tlas: Tlas) -> str:
-    header = f"tlas frame={tlas.frame_index} instances={len(tlas.instance_ids)}"
-    if not len(tlas.instance_ids):
-        return header
-
-    def leaf_text(slots):
-        insts = [int(tlas.inst_order[k]) for k in slots]
-        return (f"instances={[int(tlas.instance_ids[i]) for i in insts]} "
-                f"names={[tlas.node_names[i] for i in insts]}")
-
-    return _dump_text(header, tlas, leaf_text)

@@ -12,6 +12,7 @@ trouble, writer crash), 2 on usage errors (argparse's convention).
 from __future__ import annotations
 
 import argparse
+import math
 import multiprocessing
 import os
 import sys
@@ -197,8 +198,8 @@ def main(argv=None) -> int:
     if args.command in ("render", "interchange-demo") and args.frames < 1:
         parser.error("--frames must be at least 1")
     if args.command == "interchange-demo":
-        if args.tick_hz <= 0.0:
-            parser.error("--tick-hz must be positive")
+        if not 0.0 < args.tick_hz < math.inf:  # NaN too
+            parser.error("--tick-hz must be positive and finite")
         if args.nodes < 1:
             parser.error("--nodes must be at least 1")
         if not args.pose_timeout >= 0.0:  # NaN too

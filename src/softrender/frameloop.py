@@ -16,11 +16,14 @@ by geometry id) and sorts the draws, once per loop: the node set does
 not change within a loop, only the poses do.
 
 Frame order: flush slot queue -> apply external poses to the table ->
-rebuild TLAS from the table's mesh rows (build_tlas over their matrices
-and inverses: the pose check's, or the table's check of an unposed row
-the first time it is asked for) -> gather the draws' world matrices ->
-main pass -> display stage (resolve -> FXAA -> overlay -> write image ->
-record the image and stage timings) -> pace to the frame budget.
+TLAS from the table's mesh rows, their matrices and inverses (the pose
+check's, or the table's check of an unposed row the first time it is
+asked for): build_tlas in frame 0, then refit_tlas of the previous
+frame's TLAS, since only the poses change, or build_tlas again when the
+refit tree has grown too loose -> gather the draws' world
+matrices -> main pass -> display stage (resolve -> FXAA -> overlay ->
+write image -> record the image and stage timings) -> pace to the frame
+budget.
 
 With two frames in flight (RenderConfig.frames_in_flight = 2, the
 default) the display stage runs on one display thread.  Frame f's TLAS
@@ -46,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accel import Blas, build_blas, build_tlas, compact_blas
+from .accel import Blas, build_blas, build_tlas, compact_blas, refit_tlas
 from .errors import ConfigurationError, ValidationError
 from .framebuffer import SAMPLE_POSITIONS, create_framebuffer, resolve_msaa, write_image
 from .fxaa import fxaa_pass
@@ -113,7 +116,8 @@ class DeletionQueue:
 class FrameTiming:
     """Per-frame stage wall times.
 
-    tlas_build_ms and main_pass_ms are timed on the calling thread;
+    tlas_build_ms (frame 0's TLAS build, a later frame's refit or build) and
+    main_pass_ms are timed on the calling thread;
     post_process_ms (resolve + FXAA) and overlay_ms in the display stage.
     With two frames in flight the display stage runs on the display
     thread and overlaps the next frame's TLAS and main pass, so the four
@@ -281,8 +285,10 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
                 on_frame(i, resources)
 
             t0 = time.perf_counter()
-            world = table.matrices[rows]
-            tlas = build_tlas(world, geometry, blases, names, i, table.inverses(rows))
+            world, inverses = table.matrices[rows], table.inverses(rows)
+            tlas = refit_tlas(tlas, world, i, inverses) if i else None
+            if tlas is None:
+                tlas = build_tlas(world, geometry, blases, names, i, inverses)
             t1 = time.perf_counter()
 
             draws = replace(draws, world=world[draws.order])

@@ -1,4 +1,5 @@
-"""The tests' accel oracles: a per-node BVH build and a brute-force ray scan.
+"""The tests' accel oracles: a per-node BVH build, per-node subtree bounds
+and a brute-force ray scan.
 
 The reference binned-SAH build runs one node at a time, one split search
 per node.  This is the build accel's level-synchronous _build_bvh_levels
@@ -172,6 +173,27 @@ def all_world_triangles(tlas):
     if not verts:
         return np.zeros((0, 3, 3)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     return np.concatenate(verts), np.concatenate(inst_ids), np.concatenate(tri_ids)
+
+
+def subtree_bounds(tlas):
+    """(node_lo, node_hi): each node's box recomputed, one node at a time, as
+    the min and max of the world boxes of the instances in its subtree; a
+    node without instances keeps the box it has."""
+    lo, hi = tlas.node_lo.copy(), tlas.node_hi.copy()
+
+    def instances(ni):
+        if tlas.node_start[ni] >= 0:
+            start = tlas.node_start[ni]
+            found = tlas.inst_order[start:start + tlas.node_count[ni]]
+        else:
+            found = np.concatenate([instances(tlas.node_left[ni]), instances(tlas.node_right[ni])])
+        if len(found):
+            lo[ni] = tlas.world_lo[found].min(axis=0)
+            hi[ni] = tlas.world_hi[found].max(axis=0)
+        return found
+
+    instances(0)
+    return lo, hi
 
 
 def brute_force_closest_hit(tlas, ray) -> Hit | None:

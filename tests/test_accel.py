@@ -24,25 +24,25 @@ from softrender.accel import (
     LEAF_MAX_TRIS,
     SHADOW_OFFSET,
     Ray,
-    blas_dump_text,
     blas_signature,
     build_blas,
     build_tlas,
     compact_blas,
     ray_any_hit,
     ray_closest_hit,
+    refit_tlas,
     serialize_blas,
     serialize_tlas,
     shadow_mask,
     shadow_visibility,
-    tlas_dump_text,
 )
 from softrender.errors import ValidationError
 from softrender.frameloop import build_scene_blases
 from softrender.gltf import load_gltf
+from softrender.interchange import physics_stub_step
 from softrender.linalg import rotate_y, rotate_z, translate, scale
 from softrender.procedural import cube_geometry, make_demo_scene, plane_geometry, sphere_geometry
-from softrender.scene import mesh_instances
+from softrender.scene import duplicate_scene_geometry, mesh_instances
 
 
 # ---------------------------------------------------------------- fixtures
@@ -606,20 +606,6 @@ def test_shadow_mask_segment_length_rounding(point, light, blocker, visible):
     assert got[0] == got[2] == visible
 
 
-# ---------------------------------------------------------------- debug dumps
-
-def test_dump_text_mentions_every_leaf():
-    rng = np.random.default_rng(19)
-    pos, tri = triangle_soup(rng, 64)
-    blas = build_blas(pos, tri)
-    text = blas_dump_text(blas)
-    leaf_lines = [ln for ln in text.splitlines() if "leaf" in ln]
-    assert len(leaf_lines) == int(np.sum(blas.node_count > 0))
-
-    tlas = build_tlas([np.eye(4)], [0], [blas], ["solo"])
-    assert "solo" in tlas_dump_text(tlas)
-
-
 # ---------------------------------------------------------------- pinned query corpus
 
 def corpus_tlases(demo_gltf, bench_gltf):
@@ -744,3 +730,100 @@ def test_batched_walk_matches_batches_of_one(demo_gltf, bench_gltf):
             assert closest.get(i) == (None if hit is None else
                                       (hit.t, hit.instance_id, hit.triangle_index, hit.u, hit.v))
             assert (i in blocked) == ray_any_hit(tlas, r)
+
+
+# ---------------------------------------------------------------- refit
+
+def stub_tick(names, tick):
+    """The (K, 4, 4) poses physics_stub_step gives the roster at a tick."""
+    return np.array([m for _, m in physics_stub_step(tick, names)])
+
+
+def assert_same_instances(got, want):
+    """Same instances, transforms, inverses and world boxes, byte for byte."""
+    for name in ("instance_ids", "blas_index", "transforms", "inv_transforms",
+                 "world_lo", "world_hi"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+
+
+def test_refit_to_unchanged_poses_gives_the_build_bytes(bench_gltf, demo_gltf):
+    """bench.gltf at d=0..5, the query corpus (the empty TLAS included), a
+    TLAS of only empty geometry and one with an empty instance left out:
+    a refit to the build's own transforms, with or without inverses and
+    refit again, serializes as the build does."""
+    cases = []
+    bench = load_gltf(bench_gltf)
+    for d in range(6):
+        scene = duplicate_scene_geometry(bench, d)
+        names, geometry, _ = mesh_instances(scene)
+        cases.append(([scene.world[n] for n in names], geometry, build_scene_blases(scene), names))
+    cases += [(t.transforms, t.blas_index, t.blases, t.node_names)
+              for t in corpus_tlases(demo_gltf, bench_gltf)]
+    empty = build_blas(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    solid = build_blas(*triangle_soup(np.random.default_rng(74), 40))
+    moves = [translate(1.0, 0.0, 0.0), rotate_y(0.4), translate(0.0, -2.0, 1.0)]
+    cases += [(moves, [0, 0, 0], [empty], ["a", "b", "c"]),
+              (moves, [1, 0, 1], [empty, solid], ["a", "b", "c"])]
+    for transforms, blas_index, blases, names in cases:
+        transforms = np.array(transforms, dtype=np.float64).reshape(-1, 4, 4)
+        built = build_tlas(transforms.copy(), blas_index, blases, names, 3)
+        want = serialize_tlas(built)
+        refit = refit_tlas(built, transforms.copy(), 3)
+        assert serialize_tlas(refit) == want
+        assert serialize_tlas(refit_tlas(refit, transforms.copy(), 3,
+                                         np.linalg.inv(transforms))) == want
+
+
+def test_refit_boxes_are_exact_subtree_bounds_under_motion(monkeypatch):
+    """1,024 demo bodies: stub ticks refit from frame 0, and a seeded
+    shuffle of the bodies' poses.  The instances match a new build's and
+    every node box is the exact bound of its subtree.  The stub ticks stay
+    within REFIT_AREA_LIMIT; the shuffle passes it, so refit_tlas gives
+    None unless the limit is lifted."""
+    scene = make_demo_scene(1024)
+    names, geometry, _ = mesh_instances(scene)
+    blases = build_scene_blases(scene)
+    built = build_tlas(stub_tick(names, 0), geometry, blases, names)
+    tlas = built
+    for tick in range(1, 41):
+        tlas = refit_tlas(tlas, stub_tick(names, tick), tick)
+        assert tlas is not None
+        if tick % 8 == 0:
+            assert_same_instances(tlas, build_tlas(stub_tick(names, tick), geometry, blases, names))
+            lo, hi = bvh_oracle.subtree_bounds(tlas)
+            assert np.array_equal(tlas.node_lo, lo) and np.array_equal(tlas.node_hi, hi)
+    shuffled = stub_tick(names, 5)[np.random.default_rng(75).permutation(len(names))]
+    assert refit_tlas(built, shuffled.copy(), 1) is None
+    monkeypatch.setattr(accel, "REFIT_AREA_LIMIT", math.inf)
+    tlas = refit_tlas(built, shuffled.copy(), 1)
+    assert_same_instances(tlas, build_tlas(shuffled.copy(), geometry, blases, names))
+    lo, hi = bvh_oracle.subtree_bounds(tlas)
+    assert np.array_equal(tlas.node_lo, lo) and np.array_equal(tlas.node_hi, hi)
+
+
+def test_refit_queries_match_a_new_build(monkeypatch):
+    """ray_closest_hit and shadow_mask over seeded rays and points give a
+    refit tree a new build's answers: after stub ticks, and after a shuffle
+    of the bodies' poses with the area limit lifted."""
+    monkeypatch.setattr(accel, "REFIT_AREA_LIMIT", math.inf)
+    scene = make_demo_scene(48)
+    names, geometry, _ = mesh_instances(scene)
+    blases = build_scene_blases(scene)
+    built = build_tlas(stub_tick(names, 0), geometry, blases, names)
+    rng = np.random.default_rng(76)
+    moved = built
+    for tick in range(1, 13):
+        moved = refit_tlas(moved, stub_tick(names, tick), tick)
+    shuffled = stub_tick(names, 5)[rng.permutation(len(names))]
+    for refit, poses in ((moved, stub_tick(names, 12)), (refit_tlas(built, shuffled, 1), shuffled)):
+        fresh = build_tlas(poses.copy(), geometry, blases, names)
+        for ray in corpus_rays(rng, fresh, 150):
+            assert ray_closest_hit(refit, ray) == ray_closest_hit(fresh, ray)
+        points = np.column_stack([rng.uniform(-1.0, 48.0, 4000), rng.uniform(-1.5, 2.5, 4000),
+                                  rng.uniform(-1.0, 1.0, 4000)])
+        normals = rng.normal(size=(4000, 3))
+        for light in (scene.lights[0].position, (24.0, 3.0, 5.0)):
+            mask = shadow_mask(refit, points, normals, light)
+            assert np.array_equal(mask, shadow_mask(fresh, points, normals, light))
+            assert 0.0 < mask.mean() < 1.0

@@ -210,7 +210,8 @@ def test_demo_with_gltf_scene(demo_gltf, capsys):
 
 def test_demo_rejects_nonpositive_tick_rate():
     # and the other counts that render nothing, before the stub starts
-    for flag, value in (("--tick-hz", "0"), ("--frames", "0"), ("--nodes", "0"),
+    for flag, value in (("--tick-hz", "0"), ("--tick-hz", "nan"), ("--tick-hz", "inf"),
+                        ("--frames", "0"), ("--nodes", "0"),
                         ("--pose-timeout", "-1"), ("--pose-timeout", "nan")):
         with pytest.raises(SystemExit) as exc:
             run_cli("interchange-demo", flag, value)

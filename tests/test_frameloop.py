@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+from bvh_oracle import subtree_bounds
+
 from softrender import frameloop
 from softrender import scene as scene_module
 from softrender.accel import build_tlas, serialize_tlas
@@ -24,9 +26,11 @@ from softrender.frameloop import (
     run_frame_loop,
     timing_csv,
 )
-from softrender.interchange import TransformSnapshot, attach_table, create_table, unlink_region
+from softrender.interchange import (TransformSnapshot, attach_table, create_table,
+                                    physics_stub_step, unlink_region)
 from softrender.linalg import rotate_x, rotate_y, translate
-from softrender.procedural import make_bench_scene, make_shadow_scene, make_triangle_scene
+from softrender.procedural import (make_bench_scene, make_demo_scene, make_shadow_scene,
+                                   make_triangle_scene)
 from softrender.raster import main_pass
 from softrender.scene import MeshGeometry, SceneNode, mesh_instances, refresh_world_transforms
 
@@ -280,9 +284,11 @@ def test_unmatched_pose_entries_counted_per_frame():
 def test_every_frame_matches_an_oracle_render_of_scene_world(monkeypatch):
     """A scripted pose stream: region reads, a partial snapshot, an unmatched
     name, a posed camera, a node named twice, a non-finite pose, a raising
-    source and a singular pose.  Every frame's TLAS and image must equal a
-    TLAS built by build_tlas over scene.world and a fresh main pass of it as
-    that frame sees it."""
+    source and a singular pose.  Frame 0's TLAS must equal a TLAS built by
+    build_tlas over scene.world; every later one, refit or rebuilt, its
+    instances, transforms and world boxes, with every node box the exact
+    bound of its subtree.  Every image must equal a fresh main pass of that
+    TLAS as the frame sees it."""
     scene = make_bench_scene()
     cfg = small_config(width=56, height=42, msaa=2, shadows=True)
     blases = build_scene_blases(scene)
@@ -322,8 +328,7 @@ def test_every_frame_matches_an_oracle_render_of_scene_world(monkeypatch):
     def spy(scene_, tlas, config, **kwargs):
         fb = real_main_pass(scene_, tlas, config, **kwargs)
         oracle = build_tlas([scene_.world[n] for n in mesh], geometry, blases, mesh, len(seen))
-        seen.append((serialize_tlas(tlas), serialize_tlas(oracle),
-                     resolve_msaa(main_pass(scene_, oracle, config)).pixels))
+        seen.append((tlas, oracle, resolve_msaa(main_pass(scene_, oracle, config)).pixels))
         return fb
 
     monkeypatch.setattr(frameloop, "main_pass", spy)
@@ -335,8 +340,14 @@ def test_every_frame_matches_an_oracle_render_of_scene_world(monkeypatch):
         writer.close()
         unlink_region(region)
     assert len(seen) == len(images) == len(script)
+    assert serialize_tlas(seen[0][0]) == serialize_tlas(seen[0][1])
     for image, (loop_tlas, oracle_tlas, oracle_pixels) in zip(images, seen):
-        assert loop_tlas == oracle_tlas
+        for name in ("instance_ids", "blas_index", "transforms", "inv_transforms",
+                     "world_lo", "world_hi"):
+            got, want = getattr(loop_tlas, name), getattr(oracle_tlas, name)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
+        lo, hi = subtree_bounds(loop_tlas)
+        assert np.array_equal(loop_tlas.node_lo, lo) and np.array_equal(loop_tlas.node_hi, hi)
         assert np.array_equal(image.pixels, oracle_pixels)
     assert not np.array_equal(images[2].pixels, images[1].pixels)  # the camera moved
     for i in (4, 5, 6):  # rejected or failed reads keep frame 3's poses
@@ -345,6 +356,44 @@ def test_every_frame_matches_an_oracle_render_of_scene_world(monkeypatch):
     assert stats.pose_warnings == 3
     assert stats.unmatched_poses == 3
     assert stats.pose_generations == [2, 10, 12, 14, 4]
+
+
+def test_a_refit_past_the_area_limit_gives_way_to_a_build(monkeypatch):
+    """Shuffling which body gets which pose loosens frame 0's tree past
+    accel.REFIT_AREA_LIMIT, so frame 1 builds a new TLAS, serialized as
+    build_tlas over scene.world makes it; frame 2 refits that one."""
+    scene = make_demo_scene(64)
+    names, geometry, _ = mesh_instances(scene)
+    blases = build_scene_blases(scene)
+    perm = np.random.default_rng(7).permutation(len(names))
+
+    def shuffled(tick):
+        poses = physics_stub_step(tick, names)
+        return [(name, poses[k][1]) for name, k in zip(names, perm)]
+
+    snapshots = iter([TransformSnapshot(2, physics_stub_step(0, names)),
+                      TransformSnapshot(4, shuffled(1)), TransformSnapshot(6, shuffled(2))])
+    built = []
+    real_build = frameloop.build_tlas
+
+    def build_spy(*args):
+        built.append(args[4])
+        return real_build(*args)
+
+    seen = []
+    real_main_pass = frameloop.main_pass
+
+    def pass_spy(scene_, tlas, config, **kwargs):
+        oracle = build_tlas([scene_.world[n] for n in names], geometry, blases, names, len(seen))
+        seen.append((serialize_tlas(tlas), serialize_tlas(oracle)))
+        return real_main_pass(scene_, tlas, config, **kwargs)
+
+    monkeypatch.setattr(frameloop, "build_tlas", build_spy)
+    monkeypatch.setattr(frameloop, "main_pass", pass_spy)
+    run_frame_loop(scene, small_config(width=16, height=16, msaa=1), frames=3,
+                   pose_source=lambda: next(snapshots))
+    assert built == [0, 1]
+    assert seen[0][0] == seen[0][1] and seen[1][0] == seen[1][1]
 
 
 def test_unchanged_region_generation_is_checked_once():
