@@ -9,7 +9,7 @@ on the CPU and every output is reproducible byte for byte.
 """
 
 from .accel import (
-    Blas, Hit, Ray, Tlas, blas_signature, build_blas, build_tlas, compact_blas,
+    Blas, Hit, Ray, Tlas, build_blas, build_tlas, compact_blas,
     ray_any_hit, ray_closest_hit, serialize_blas, shadow_mask, shadow_visibility,
 )
 from .bench import BENCH_CSV_HEADER, BenchRecord, bench_csv, default_bench_config, run_bench
@@ -32,7 +32,7 @@ from .interchange import (
     attach_table, create_table, physics_stub_step, region_path, region_size,
     unlink_region,
 )
-from .overlay import format_stats, overlay_pass, render_text
+from .overlay import format_stats, overlay_pass
 from .raster import Draws, build_draws, main_pass
 from .scene import (
     Camera, MaterialPbr, MeshGeometry, PointLight, Scene, SceneNode,

@@ -30,7 +30,6 @@ Conventions that tests rely on:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -229,14 +228,14 @@ class _Nodes:
 
 
 def _preorder(nodes: _Nodes):
-    """Yield (node index, depth), parents before children, left subtree first."""
-    stack = [(0, 0)]
+    """Yield node indices, parents before children, left subtree first."""
+    stack = [0]
     while stack:
-        ni, depth = stack.pop()
-        yield ni, depth
+        ni = stack.pop()
+        yield ni
         if nodes.node_start[ni] < 0:
-            stack.append((int(nodes.node_right[ni]), depth + 1))
-            stack.append((int(nodes.node_left[ni]), depth + 1))
+            stack.append(int(nodes.node_right[ni]))
+            stack.append(int(nodes.node_left[ni]))
 
 
 def _serialize(header, arrays) -> bytes:
@@ -300,10 +299,6 @@ def serialize_blas(blas: Blas) -> bytes:
     return _serialize([blas.geometry_id, int(blas.compacted), blas.node_total], retained)
 
 
-def blas_signature(blas: Blas) -> str:
-    return hashlib.sha256(serialize_blas(blas)).hexdigest()
-
-
 def compact_blas(blas: Blas) -> Blas:
     """Reorder nodes into depth-first order and drop build scratch.
 
@@ -313,7 +308,7 @@ def compact_blas(blas: Blas) -> Blas:
     """
     if blas.compacted:
         return blas
-    dfs = np.array([ni for ni, _ in _preorder(blas)], dtype=np.int64)
+    dfs = np.fromiter(_preorder(blas), np.int64)
     remap = np.argsort(dfs)  # every node is reached once, so dfs is a permutation
     left = blas.node_left[dfs]
     right = blas.node_right[dfs]

@@ -111,21 +111,20 @@ def ppm_bytes(image: LdrImage) -> bytes:
     return header + image.pixels.tobytes()
 
 
-def write_image(image: LdrImage, path, image_format: str | None = None) -> Path:
-    """Write binary PPM (default) or PNG when Pillow is available."""
+def write_image(image: LdrImage, path) -> Path:
+    """Write binary PPM or, with the optional Pillow, PNG, as the path's suffix (any case) says."""
     path = Path(path)
-    if image_format is None:
-        image_format = "png" if path.suffix.lower() == ".png" else "ppm"
-    if image_format == "ppm":
+    suffix = path.suffix.lower()
+    if suffix == ".ppm":
         path.write_bytes(ppm_bytes(image))
-    elif image_format == "png":
+    elif suffix == ".png":
         try:
             from PIL import Image
         except ImportError as e:
             raise ConfigurationError("PNG output needs the optional Pillow dependency") from e
         Image.fromarray(image.pixels, mode="RGB").save(path, format="PNG")
     else:
-        raise ConfigurationError(f"unknown image format '{image_format}'")
+        raise ConfigurationError(f"image path '{path}' must end in .ppm or .png")
     return path
 
 

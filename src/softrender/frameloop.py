@@ -55,7 +55,8 @@ from .framebuffer import SAMPLE_POSITIONS, create_framebuffer, resolve_msaa, wri
 from .fxaa import fxaa_pass
 from .overlay import overlay_pass
 from .raster import camera_world, main_pass, select_camera, sort_draws
-from .scene import Scene, WorldTable, check_references, mesh_instances, refresh_world_transforms
+from .scene import (Scene, WorldTable, check_references, mesh_instances, mesh_lookup,
+                    refresh_world_transforms)
 
 SLOT_COUNT = 2
 
@@ -86,8 +87,8 @@ class RenderConfig:
             raise ConfigurationError("output size must be at least 1x1")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.target_fps < 0.0:
-            raise ConfigurationError("target_fps must be >= 0")
+        if not 0.0 <= self.target_fps < float("inf"):
+            raise ConfigurationError(f"target_fps must be >= 0 and finite, not {self.target_fps}")
         if self.frames_in_flight not in range(1, SLOT_COUNT + 1):
             raise ConfigurationError(f"frames_in_flight must be 1 or {SLOT_COUNT}")
 
@@ -166,8 +167,7 @@ class FrameResources:
 
     def framebuffer(self, slot: int):
         fb = self.attachments[slot]
-        if fb is None or (fb.width, fb.height, fb.samples) != (
-                self.config.width, self.config.height, self.config.msaa):
+        if fb is None:
             fb = create_framebuffer(self.config.width, self.config.height, self.config.msaa)
             self.attachments[slot] = fb
             self.main_queue.push(lambda s=slot: self.attachments.__setitem__(s, None))
@@ -232,10 +232,7 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     camera = select_camera(scene, config.camera)
     camera_world(scene, camera)
     table = WorldTable(scene)
-    try:
-        rows = np.fromiter(map(table.rows.__getitem__, names), np.int64, len(names))
-    except KeyError as exc:
-        raise ValidationError(f"mesh node '{exc.args[0]}' has no world transform") from None
+    rows = np.array(mesh_lookup(table.rows, names), dtype=np.int64)
     blases = build_scene_blases(scene)
     draws = sort_draws(names, geometry, material, table.matrices[rows])
     triangles = scene.total_triangles()  # the overlay's; poses do not change it
@@ -253,8 +250,7 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
         image = overlay_pass(image, i, triangles, eye, enabled=config.overlay)
         t2 = time.perf_counter()
         if output_prefix is not None:
-            write_image(image, frame_output_path(output_prefix, i, image_format),
-                        image_format=image_format)
+            write_image(image, frame_output_path(output_prefix, i, image_format))
         images.append(image)
         timings.append(FrameTiming(frame_index=i, tlas_build_ms=tlas_ms, main_pass_ms=main_ms,
                                    post_process_ms=(t1 - t0) * 1000.0,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParseError, UnsupportedFeatureError, ValidationError
 from .linalg import compose_trs, mat_from_column_major, normalize
 from .scene import (Camera, MaterialPbr, MeshGeometry, PointLight, Scene, SceneNode,
-                    check_invertible, check_unique_names)
+                    check_invertible, check_unique_names, compute_world_transforms)
 
 _COMPONENT_DTYPES = {
     5120: ("<i1", 1),
@@ -411,8 +411,6 @@ def _parse_document(doc: dict, base_dir) -> Scene:
             raise ValidationError(f"mesh {mi}: {err}")
     check_invertible([n.name for n in scene.nodes],
                      np.array([n.local for n in scene.nodes]).reshape(-1, 4, 4), "node")
-
-    from .scene import compute_world_transforms
 
     scene.world = compute_world_transforms(scene)
     for name, li in light_nodes:

@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import ContentionError, IncompatibleRegionError, RegionError, ValidationError
 from .linalg import rotate_z, translate
+from .scene import check_unique_names
 
 MAGIC = 0x41564931
 VERSION = 1
@@ -139,8 +140,7 @@ class TransformTableWriter:
 
     def __init__(self, name: str, node_names):
         names = list(node_names)
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate node name in table roster")
+        check_unique_names(names)
         encoded = [_encode_name(n) for n in names]
         self.name = name
         self.node_names = names

@@ -15,7 +15,7 @@ from .scene import Camera, MaterialPbr, MeshGeometry, PointLight, Scene, SceneNo
     refresh_world_transforms
 
 
-def _flat_mesh(faces, uv_per_corner=None) -> MeshGeometry:
+def _flat_mesh(faces) -> MeshGeometry:
     """faces: (F, 3, 3) corner positions; normals from each face plane."""
     faces = np.asarray(faces, dtype=np.float64)
     f = len(faces)
@@ -23,10 +23,7 @@ def _flat_mesh(faces, uv_per_corner=None) -> MeshGeometry:
     n = np.cross(faces[:, 1] - faces[:, 0], faces[:, 2] - faces[:, 0])
     n = n / np.linalg.norm(n, axis=1, keepdims=True)
     normals = np.repeat(n, 3, axis=0)
-    if uv_per_corner is None:
-        uvs = np.tile(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), (f, 1))
-    else:
-        uvs = np.asarray(uv_per_corner, dtype=np.float64).reshape(-1, 2)
+    uvs = np.tile(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), (f, 1))
     triangles = np.arange(3 * f, dtype=np.int32).reshape(f, 3)
     return MeshGeometry(positions=positions, normals=normals, uvs=uvs, triangles=triangles)
 

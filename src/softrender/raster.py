@@ -42,7 +42,7 @@ from .accel import shadow_mask
 from .errors import ConfigurationError, ValidationError
 from .framebuffer import SAMPLE_POSITIONS, Framebuffer, clear_framebuffer, create_framebuffer
 from .linalg import dot_rows, normalize, perspective
-from .scene import Camera, Scene, check_finite, check_invertible, mesh_instances
+from .scene import Camera, Scene, check_finite, check_invertible, mesh_instances, mesh_lookup
 from .shading import ShadingSample, linear_to_srgb, reinhard_tonemap, shade_direct
 
 if TYPE_CHECKING:  # frameloop imports this module
@@ -82,7 +82,7 @@ def sort_draws(node_names: list[str], geometry: np.ndarray, material: np.ndarray
 def build_draws(scene: Scene) -> Draws:
     """The scene's draws, with world matrices from scene.world."""
     names, geometry, material = mesh_instances(scene)
-    world = np.array([scene.world[name] for name in names], dtype=np.float64)
+    world = np.array(mesh_lookup(scene.world, names), dtype=np.float64)
     return sort_draws(names, geometry, material, world.reshape(-1, 4, 4))
 
 

@@ -158,6 +158,15 @@ def check_references(scene: Scene, mesh_names, geometry, material) -> None:
             raise ValidationError(f"camera references missing node '{cam.node}'")
 
 
+def mesh_lookup(table, mesh_names) -> list:
+    """[table[name] for name in mesh_names]; ValidationError names the first
+    mesh node the name-keyed table (scene.world, or a WorldTable's rows) lacks."""
+    try:
+        return [table[name] for name in mesh_names]
+    except KeyError as exc:
+        raise ValidationError(f"mesh node '{exc.args[0]}' has no world transform") from None
+
+
 def compute_world_transforms(scene: Scene) -> dict[str, np.ndarray]:
     """world(n) = world(parent(n)) @ local(n); roots use the identity parent."""
     by_name = {n.name: n for n in scene.nodes}

@@ -76,6 +76,16 @@ def test_render_rejects_bad_msaa(tmp_path, triangle_gltf):
         assert exc.value.code == 2, (flag, value)
 
 
+def test_render_rejects_non_finite_target_fps(tmp_path, triangle_gltf, capsys):
+    for value in ("nan", "inf"):
+        code = run_cli("render", "--scene", str(triangle_gltf), "--out", str(tmp_path / "x"),
+                       "--frames", "1", "--width", "8", "--height", "8", "--target-fps", value)
+        assert code == 1, value
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: target_fps"), (value, err)
+    assert not list(tmp_path.glob("x-frame-*"))
+
+
 def test_render_requires_scene_and_out(tmp_path, triangle_gltf):
     with pytest.raises(SystemExit) as exc:
         run_cli("render", "--scene", str(triangle_gltf))

@@ -180,8 +180,23 @@ def test_write_and_read_ppm_round_trip(tmp_path):
 
 def test_write_image_rejects_unknown_format(tmp_path):
     img = LdrImage(pixels=np.zeros((1, 1, 3), dtype=np.uint8))
-    with pytest.raises(ConfigurationError):
-        write_image(img, tmp_path / "x.out", image_format="bmp")
+    with pytest.raises(ConfigurationError, match="must end in .ppm or .png"):
+        write_image(img, tmp_path / "x.bmp")
+    assert not (tmp_path / "x.bmp").exists()
+
+
+def test_write_image_suffix_picks_the_format_in_any_case(tmp_path):
+    img = LdrImage(pixels=np.full((2, 3, 3), 7, dtype=np.uint8))
+    p = write_image(img, tmp_path / "x.Ppm")
+    assert p == tmp_path / "x.Ppm"
+    assert p.read_bytes() == ppm_bytes(img)
+    try:
+        import PIL  # noqa: F401
+    except ImportError:
+        with pytest.raises(ConfigurationError, match="Pillow"):
+            write_image(img, tmp_path / "x.PNG")
+    else:
+        assert write_image(img, tmp_path / "x.PNG").read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
 
 
 def test_read_ppm_rejects_other_files(tmp_path):

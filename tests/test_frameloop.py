@@ -561,8 +561,9 @@ def test_render_config_validation():
         RenderConfig(height=-2)
     with pytest.raises(ConfigurationError):
         RenderConfig(workers=0)
-    with pytest.raises(ConfigurationError):
-        RenderConfig(target_fps=-1.0)
+    for target_fps in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            RenderConfig(target_fps=target_fps)
     for frames_in_flight in (0, 3, -1):
         with pytest.raises(ConfigurationError):
             RenderConfig(frames_in_flight=frames_in_flight)

@@ -191,7 +191,7 @@ def test_generation_is_monotonic_across_interleaved_reads(region_name):
 # ------------------------------------------------------------- errors
 
 def test_duplicate_roster_name_rejected(region_name):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="duplicate node name 'twin'"):
         create_table(region_name, ["twin", "twin"])
     assert not region_path(region_name).exists()
 

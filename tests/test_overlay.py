@@ -1,4 +1,4 @@
-"""Stats overlay tests: formatting, stamping, clipping, determinism."""
+"""Stats overlay tests: formatting, glyphs, stamping, clipping, determinism."""
 
 import hashlib
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from softrender.framebuffer import LdrImage, ppm_bytes
 from softrender.frameloop import RenderConfig, run_frame_loop
-from softrender.overlay import CELL, format_stats, overlay_pass, render_text
+from softrender.overlay import CELL, _line_ink, format_stats, overlay_pass
 from softrender.procedural import make_triangle_scene
 
 
@@ -35,74 +35,63 @@ def test_frames_with_overlay_repeat_byte_for_byte():
     assert len(shas) == 1
 
 
-def test_render_text_stamps_opaque_cell():
-    px = gray(12, 12)
-    render_text(px, "T", 0, 0)
-    cell = px[:CELL, :CELL]
-    # opaque cell: every pixel either ink or background, nothing bleeds
-    assert set(np.unique(cell)) <= {0, 255}
-    assert np.count_nonzero(cell[:, :, 0] == 255) >= 5
-    # untouched outside the 8x8 cell
-    assert np.all(px[CELL:, :] == 90)
-    assert np.all(px[:, CELL:] == 90)
+def test_line_ink_minus_glyph_exact():
+    expected = np.zeros((CELL, CELL), dtype=bool)
+    expected[3, 0:5] = True  # a 5 px horizontal bar on the middle row
+    np.testing.assert_array_equal(_line_ink("-"), expected)
 
 
-def test_render_text_minus_glyph_exact():
-    px = gray(8, 8, 200)
-    render_text(px, "-", 0, 0)
-    expected = np.zeros((8, 8), dtype=np.uint8)
-    expected[3, 0:5] = 255  # a 5 px horizontal bar on the middle row
-    np.testing.assert_array_equal(px[:, :, 0], expected)
-    np.testing.assert_array_equal(px[:, :, 1], expected)
-    np.testing.assert_array_equal(px[:, :, 2], expected)
+def test_line_ink_dot_glyph_exact():
+    expected = np.zeros((CELL, CELL), dtype=bool)
+    expected[5:7, 1:3] = True  # 2x2 dot near the baseline
+    np.testing.assert_array_equal(_line_ink("."), expected)
 
 
-def test_render_text_dot_glyph_exact():
-    px = gray(8, 8, 200)
-    render_text(px, ".", 0, 0)
-    expected = np.zeros((8, 8), dtype=np.uint8)
-    expected[5:7, 1:3] = 255  # 2x2 dot near the baseline
-    np.testing.assert_array_equal(px[:, :, 0], expected)
+def test_line_ink_t_glyph_ink_count():
+    assert np.count_nonzero(_line_ink("T")) == 11  # a 5 px bar over a 6 px stem
 
 
 def test_unknown_character_renders_blank_cell():
-    px = gray(8, 8)
-    render_text(px, "~", 0, 0)
-    assert np.all(px[:CELL, :CELL] == 0)
+    ink = _line_ink("~")
+    assert ink.shape == (CELL, CELL)
+    assert not ink.any()
 
 
-def test_render_text_advances_one_cell_per_character():
-    px = gray(8, 40)
-    render_text(px, "--", 2, 0)
-    assert np.all(px[3, 2:7] == 255)
-    assert np.all(px[3, 10:15] == 255)
-    assert np.all(px[3, 18:] == 90)  # nothing past the second cell
-
-
-def test_render_text_clips_at_right_edge():
-    px = gray(10, 20)
-    before = px.copy()
-    render_text(px, "AB", 16, 1)
-    # first cell shows only its leftmost 4 columns; second starts past
-    # the border and is skipped outright
-    assert px.shape == before.shape
-    assert np.any(px[1:9, 16:20] != 90)
-    assert np.all(px[:, :16] == 90)
-
-
-def test_render_text_clips_at_left_and_top():
-    px = gray(10, 10)
-    render_text(px, "H", -3, -2)
-    assert np.any(px[:6, :5] != 90)  # visible remainder of the glyph
-    assert np.all(px[6:, :] == 90)
+def test_line_ink_advances_one_cell_per_character():
+    ink = _line_ink("--")
+    assert ink.shape == (CELL, 2 * CELL)
+    np.testing.assert_array_equal(ink[:, CELL:], _line_ink("-"))
+    np.testing.assert_array_equal(ink[:, :CELL], _line_ink("-"))
 
 
 def test_lowercase_maps_to_uppercase():
-    a = gray(8, 8)
-    b = gray(8, 8)
-    render_text(a, "k", 0, 0)
-    render_text(b, "K", 0, 0)
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(_line_ink("k"), _line_ink("K"))
+    assert _line_ink("k").any()
+
+
+def test_overlay_pass_stamps_opaque_box():
+    img = LdrImage(pixels=gray(24, 400))
+    out = overlay_pass(img, 12, 36, (1.0, 2.0, 3.0)).pixels
+    ink = _line_ink(format_stats(12, 36, (1.0, 2.0, 3.0)))
+    box = out[2:2 + CELL, 2:2 + ink.shape[1]]
+    # opaque box: every pixel either ink or background, exactly the line's ink
+    assert set(np.unique(box)) <= {0, 255}
+    for c in range(3):
+        np.testing.assert_array_equal(box[:, :, c], np.where(ink, 255, 0))
+    outside = np.ones(out.shape[:2], dtype=bool)
+    outside[2:2 + CELL, 2:2 + ink.shape[1]] = False
+    assert np.all(out[outside] == 90)
+
+
+def test_overlay_pass_clips_at_right_edge():
+    ink = _line_ink(format_stats(3, 36, (0.0, 0.0, 0.0)))
+    w = 50  # the 45-cell line is far wider
+    assert ink.shape[1] > w
+    out = overlay_pass(LdrImage(pixels=gray(12, w)), 3, 36, (0.0, 0.0, 0.0)).pixels
+    assert out.shape == (12, w, 3)
+    np.testing.assert_array_equal(out[2:2 + CELL, 2:, 0], np.where(ink[:, :w - 2], 255, 0))
+    assert np.all(out[:2] == 90) and np.all(out[2 + CELL:] == 90)
+    assert np.all(out[:, :2] == 90)
 
 
 def test_overlay_pass_disabled_is_identity():

@@ -22,7 +22,7 @@ from softrender.frameloop import RenderConfig, build_scene_blases
 from softrender.accel import build_tlas
 from softrender.gltf import load_gltf
 from softrender.linalg import rotate_y, scale, translate
-from softrender.procedural import make_shadow_scene
+from softrender.procedural import make_shadow_scene, make_triangle_scene
 from softrender.raster import (
     _geometry_stage,
     _interpolate,
@@ -674,6 +674,13 @@ def test_camera_node_without_world_is_validation_error():
     scene = make_shadow_scene()
     del scene.world["cam"]
     with pytest.raises(ValidationError, match="camera node 'cam'"):
+        main_pass(scene, None, config())
+
+
+def test_mesh_node_without_world_is_validation_error():
+    scene = make_triangle_scene()
+    del scene.world["tri"]
+    with pytest.raises(ValidationError, match="^mesh node 'tri' has no world transform$"):
         main_pass(scene, None, config())
 
 
