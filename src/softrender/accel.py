@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -336,19 +337,26 @@ class Tlas(_Nodes):
     world_lo: np.ndarray        # (K, 3) per-instance world bounds
     world_hi: np.ndarray
     frame_index: int = 0
-    # refit_tlas's (leaves, internal nodes by depth, the build's area sum),
-    # made by its first call
+    # refit_tlas's (leaves, internal nodes by depth, the build's area sum,
+    # root corners), made by its first call and kept by later refits
     refit_plan: tuple | None = field(default=None, repr=False)
 
 
-def _world_boxes(blases: list[Blas], blas_index, transforms):
-    """(K, 3) world lo and hi of each instance: the eight corners of its
-    BLAS's root box, transformed."""
+def _root_corners(blases: list[Blas], blas_index):
+    """(K, 8, 3) object-space corners of each instance's BLAS root box."""
     root_lo = np.array([blas.node_lo[0] for blas in blases]).reshape(-1, 3)[blas_index]
     root_hi = np.array([blas.node_hi[0] for blas in blases]).reshape(-1, 3)[blas_index]
-    corners = np.where(_CORNER_IS_HI, root_hi[:, None], root_lo[:, None])
+    return np.where(_CORNER_IS_HI, root_hi[:, None], root_lo[:, None])
+
+
+def _world_boxes(corners, transforms):
+    """(K, 3) world lo and hi of each instance: its (K, 8, 3) root corners,
+    transformed.  The left folds over the corners are ``min(axis=1)`` and
+    ``max(axis=1)`` bit for bit, signs of zeros included, and several
+    times faster."""
     world = corners @ transforms[:, :3, :3].transpose(0, 2, 1) + transforms[:, None, :3, 3]
-    return world.min(axis=1), world.max(axis=1)
+    points = [world[:, c] for c in range(8)]
+    return reduce(np.minimum, points), reduce(np.maximum, points)
 
 
 def build_tlas(transforms, blas_index, blases: list[Blas], node_names: list[str],
@@ -377,7 +385,7 @@ def build_tlas(transforms, blas_index, blases: list[Blas], node_names: list[str]
                     inst_order=np.zeros(0, dtype=np.int64),
                     world_lo=np.zeros((0, 3)), world_hi=np.zeros((0, 3)),
                     frame_index=frame_index)
-    world_lo, world_hi = _world_boxes(blases, blas_index, transforms)
+    world_lo, world_hi = _world_boxes(_root_corners(blases, blas_index), transforms)
     *nodes, order = _build_bvh_levels(world_lo, world_hi, LEAF_MAX_INSTANCES)
     return Tlas(*nodes, blases=list(blases), blas_index=blas_index, transforms=transforms,
                 inv_transforms=inv_transforms, node_names=node_names,
@@ -389,18 +397,19 @@ def _area_sum(nodes: _Nodes) -> float:
     return float(_surface_area((nodes.node_hi - nodes.node_lo).T).sum())
 
 
-def _refit_plan(nodes: _Nodes):
+def _refit_plan(tlas: Tlas):
     """The leaves that hold instances, in slot order, the internal nodes of
-    each depth, deepest first, from one frontier walk from the root, and
-    the node area sum."""
+    each depth, deepest first, from one frontier walk from the root, the
+    node area sum and the instances' root corners."""
     depths = []
     node = np.zeros(1, np.int64)
     while len(node):
-        inner = node[nodes.node_start[node] < 0]
+        inner = node[tlas.node_start[node] < 0]
         depths.append(inner)
-        node = np.concatenate([nodes.node_left[inner], nodes.node_right[inner]])
-    leaf = np.flatnonzero(nodes.node_count > 0)
-    return leaf[nodes.node_start[leaf].argsort()], depths[::-1], _area_sum(nodes)
+        node = np.concatenate([tlas.node_left[inner], tlas.node_right[inner]])
+    leaf = np.flatnonzero(tlas.node_count > 0)
+    return (leaf[tlas.node_start[leaf].argsort()], depths[::-1], _area_sum(tlas),
+            _root_corners(tlas.blases, tlas.blas_index))
 
 
 def refit_tlas(tlas: Tlas, transforms, frame_index: int, inv_transforms=None) -> Tlas | None:
@@ -408,7 +417,9 @@ def refit_tlas(tlas: Tlas, transforms, frame_index: int, inv_transforms=None) ->
     when that tree fits them too loosely and build_tlas should make one.
 
     transforms (and inv_transforms) hold one matrix per instance build_tlas
-    was given, left-out ones included.  The world boxes are build_tlas's;
+    was given, left-out ones included.  The world boxes are build_tlas's,
+    from the instances' root corners, which the refit plan that the first
+    refit of a built tree makes carries with the tree's leaves and depths;
     each leaf box is then the min/max of its instances' boxes, and each
     internal box that of its children's, one depth per step, deepest
     first.  Min and max are exact, so refitting to the transforms tlas was
@@ -424,8 +435,8 @@ def refit_tlas(tlas: Tlas, transforms, frame_index: int, inv_transforms=None) ->
     if inv_transforms is None:
         inv_transforms = check_invertible(tlas.node_names, transforms, "instance")
     plan = tlas.refit_plan or _refit_plan(tlas)
-    leaf, depths, built_area = plan
-    world_lo, world_hi = _world_boxes(tlas.blases, tlas.blas_index, transforms)
+    leaf, depths, built_area, corners = plan
+    world_lo, world_hi = _world_boxes(corners, transforms)
     lo, hi = tlas.node_lo.copy(), tlas.node_hi.copy()
     start = tlas.node_start[leaf]
     lo[leaf] = np.minimum.reduceat(world_lo[tlas.inst_order], start)

@@ -111,20 +111,28 @@ def ppm_bytes(image: LdrImage) -> bytes:
     return header + image.pixels.tobytes()
 
 
-def write_image(image: LdrImage, path) -> Path:
-    """Write binary PPM or, with the optional Pillow, PNG, as the path's suffix (any case) says."""
-    path = Path(path)
-    suffix = path.suffix.lower()
-    if suffix == ".ppm":
-        path.write_bytes(ppm_bytes(image))
-    elif suffix == ".png":
+def check_image_path(path) -> str:
+    """'ppm' or 'png', as the path's suffix (any case) says; ConfigurationError
+    for any other suffix, and for '.png' without the optional Pillow."""
+    suffix = Path(path).suffix.lower()
+    if suffix == ".png":
         try:
-            from PIL import Image
+            import PIL  # noqa: F401
         except ImportError as e:
             raise ConfigurationError("PNG output needs the optional Pillow dependency") from e
-        Image.fromarray(image.pixels, mode="RGB").save(path, format="PNG")
-    else:
+    elif suffix != ".ppm":
         raise ConfigurationError(f"image path '{path}' must end in .ppm or .png")
+    return suffix[1:]
+
+
+def write_image(image: LdrImage, path) -> Path:
+    """Write binary PPM or, with the optional Pillow, PNG, as check_image_path says."""
+    path = Path(path)
+    if check_image_path(path) == "ppm":
+        path.write_bytes(ppm_bytes(image))
+    else:
+        from PIL import Image
+        Image.fromarray(image.pixels, mode="RGB").save(path, format="PNG")
     return path
 
 

@@ -51,7 +51,8 @@ import numpy as np
 
 from .accel import Blas, build_blas, build_tlas, compact_blas, refit_tlas
 from .errors import ConfigurationError, ValidationError
-from .framebuffer import SAMPLE_POSITIONS, create_framebuffer, resolve_msaa, write_image
+from .framebuffer import (SAMPLE_POSITIONS, check_image_path, create_framebuffer, resolve_msaa,
+                          write_image)
 from .fxaa import fxaa_pass
 from .overlay import overlay_pass
 from .raster import camera_world, main_pass, select_camera, sort_draws
@@ -217,7 +218,8 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     too), a camera on a missing node, a mesh node or the selected camera's
     node with no scene.world entry and, when scene.world is empty and so
     computed here, a missing parent or a cycle; ConfigurationError for no
-    camera, or none on config.camera.
+    camera, none on config.camera, or, with output_prefix set, an
+    image_format write_image cannot write.
     In frame 0, after the BLAS build, ValidationError names an unposed mesh
     node or the camera's node whose world transform is non-finite or singular.
     With two frames in flight, an error in frame f's display stage (an
@@ -231,6 +233,8 @@ def run_frame_loop(scene: Scene, config: RenderConfig, frames: int,
     check_references(scene, names, geometry, material)  # fail before any work
     camera = select_camera(scene, config.camera)
     camera_world(scene, camera)
+    if output_prefix is not None:
+        check_image_path(frame_output_path(output_prefix, 0, image_format))
     table = WorldTable(scene)
     rows = np.array(mesh_lookup(table.rows, names), dtype=np.int64)
     blases = build_scene_blases(scene)

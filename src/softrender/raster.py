@@ -18,7 +18,9 @@ pass itself is a visibility buffer over per-sample coverage and depth:
     coverage window, the pixels where a sample can land in its screen
     box, and the depth rule is sequential: in submission order a
     sample passes on ``z < float32 stored depth`` and stores its
-    float32 depth, so the last passing triangle wins the sample;
+    float32 depth, so the last passing triangle wins the sample.  A
+    chunk of (triangle, pixel) pairs resolves it for all samples at
+    once, rank by rank over each (pixel, sample) slot's candidates;
   - shading then runs once per frame, once per (pixel, winning triangle)
     at the pixel center, with one shadow batch per light, and the result
     goes to the samples that triangle won;
@@ -333,11 +335,14 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, winner, band_y0: int,
     ``_WINDOW_SLACK``), a chunk of pairs at a time, under the sequential
     depth rule: in submission order a candidate passes on
     ``zg < float32 stored depth`` and stores ``float32(zg)``, so the last
-    passing candidate wins (a float64 argmin is not the same rule).  It
-    runs rank by rank over each pixel's candidates, a loop over depth
-    complexity, not over triangles.  Each winning sample's batch triangle
-    id goes to the frame's (H, W, S) int32 winner array, and lit counts,
-    per triangle, the band's pixels where some sample of it passed.
+    passing candidate wins (a float64 argmin is not the same rule).  Each
+    chunk gathers its triangles' set-up from one (19, K) table and
+    evaluates every sample on contiguous rows; then one walk runs rank by
+    rank over each (pixel, sample) slot's candidates, a loop over depth
+    complexity, not over triangles or samples.  Each winning sample's
+    batch triangle id goes to the frame's (H, W, S) int32 winner array,
+    and lit counts, per triangle, the band's pixels where some sample of
+    it passed.
     """
     samples = SAMPLE_POSITIONS[fb.samples]
     width = fb.width
@@ -348,9 +353,12 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, winner, band_y0: int,
     x_lo, y_lo = np.clip(lo, (0, band_y0), (width, band_y1)).astype(np.int64).T
     x_hi, y_hi = np.clip(hi, (0, band_y0), (width, band_y1)).astype(np.int64).T
     tris = np.flatnonzero((x_lo < x_hi) & (y_lo < y_hi) & (area2 > 0.0))
+    # rows: dx, dy, vx, vy, z and top_left for edges (or corners) 0, 1, 2, then area2
+    table = np.concatenate([dx.T, dy.T, vx.T, vy.T, tz.T, top_left.T, area2[None]])
 
-    depth = fb.depth[band_y0:band_y1].reshape(-1, fb.samples)
-    winner = winner[band_y0:band_y1].reshape(-1, fb.samples)
+    # (pixel, sample) slots pixel * S + s of the band
+    depth = fb.depth[band_y0:band_y1].reshape(-1)
+    winner = winner[band_y0:band_y1].reshape(-1)
     lit = np.zeros(len(tris), dtype=np.int64)  # pixels where some sample passed
     rect_w = x_hi[tris] - x_lo[tris]
     rect_n = rect_w * (y_hi[tris] - y_lo[tris])
@@ -365,29 +373,35 @@ def _raster_band(fb: Framebuffer, batch: _TriangleBatch, winner, band_y0: int,
         col = x_lo[k] + offset % rect_w[j]
         pixel = (row - band_y0) * width + col
         by_pixel = np.argsort(pixel, kind="stable")
-        kdx, kdy, kvx, kvy, kz, ktl = dx[k], dy[k], vx[k], vy[k], tz[k], top_left[k]
-        passed = np.zeros(len(pair), dtype=bool)
+        pixel_slot = pixel[by_pixel] * fb.samples
+        g = np.take(table, k, axis=1)  # contiguous (P,) rows
+        kdx, kdy, kvx, kvy, kz = g[0:3], g[3:6], g[6:9], g[9:12], g[12:15]
+        ktl, karea2 = g[15:18] != 0.0, g[18]
+        cand, slot, cz = [], [], []
         for s, (sx, sy) in enumerate(samples):
-            e = _edge_functions(kdx, kdy, kvx, kvy, col + sx, row + sy)
-            inside = (e > 0.0) | ((e == 0.0) & ktl)  # inside.all(axis=1) is
-            cover = inside[:, 0] & inside[:, 1] & inside[:, 2]  # several times slower
-            zg = (e[:, 1] * kz[:, 0] + e[:, 2] * kz[:, 1] + e[:, 0] * kz[:, 2]) / area2[k]
-            cand = by_pixel[cover[by_pixel]]  # by pixel, then submission order
-            if len(cand) == 0:
-                continue
-            cpix = pixel[cand]
-            at = np.flatnonzero(np.r_[True, cpix[1:] != cpix[:-1]])  # rank 0 of each pixel
-            left = np.diff(np.r_[at, len(cand)])
-            stored, won = depth[:, s], winner[:, s]
-            while len(at):
-                c, p = cand[at], cpix[at]
-                ok = zg[c] < stored[p]
-                c, p = c[ok], p[ok]
-                stored[p] = zg[c].astype(np.float32)
-                won[p] = k[c]
-                passed[c] = True
-                more = left > 1
-                at, left = at[more] + 1, left[more] - 1
+            px, py = col + sx, row + sy  # _edge_functions, one edge row at a time
+            e = [kdx[i] * (py - kvy[i]) - kdy[i] * (px - kvx[i]) for i in range(3)]
+            inside = [(e[i] > 0.0) | ((e[i] == 0.0) & ktl[i]) for i in range(3)]
+            cover = (inside[0] & inside[1] & inside[2])[by_pixel]
+            c = by_pixel[cover]  # by pixel, then submission order
+            cand.append(c)
+            slot.append(pixel_slot[cover] + s)
+            cz.append(((e[1] * kz[0] + e[2] * kz[1] + e[0] * kz[2]) / karea2)[c])
+        cand, slot, cz = np.concatenate(cand), np.concatenate(slot), np.concatenate(cz)
+        if len(cand) == 0:
+            continue
+        at = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])  # rank 0 of each slot
+        left = np.diff(np.r_[at, len(cand)])
+        passed = np.zeros(len(pair), dtype=bool)
+        while len(at):
+            c, p, z = cand[at], slot[at], cz[at]
+            ok = z < depth[p]
+            c, p = c[ok], p[ok]
+            depth[p] = z[ok].astype(np.float32)
+            winner[p] = k[c]
+            passed[c] = True
+            more = left > 1
+            at, left = at[more] + 1, left[more] - 1
         lit += np.bincount(j[passed], minlength=len(tris))
     band_lit = np.zeros(batch.count, dtype=np.int64)
     band_lit[tris] = lit
@@ -403,11 +417,11 @@ def _shade(fb: Framebuffer, batch: _TriangleBatch, winner, lit, scene: Scene, tl
     pixel.  lit counts each triangle's lit pixels over the whole target;
     a count of one selects ``_interpolate``'s one-row rounding.
     """
-    winner = winner.reshape(-1, fb.samples)
-    covered = winner >= 0
-    if not covered.any():
+    winner = winner.reshape(-1)
+    covered = np.flatnonzero(winner >= 0)  # (pixel, sample) slots, row-major
+    if not len(covered):
         return
-    key = (np.arange(len(winner))[:, None] * batch.count + winner)[covered]
+    key = covered // fb.samples * batch.count + winner[covered]
     key, source = np.unique(key, return_inverse=True)  # one row per (pixel, winner)
     pix, k = np.divmod(key, batch.count)
     cx = pix % fb.width + 0.5
@@ -433,8 +447,7 @@ def _shade(fb: Framebuffer, batch: _TriangleBatch, winner, lit, scene: Scene, tl
     lights = [(light, shadow_mask(tlas, wpos, wnrm, light.position)
                if shadows and tlas is not None else 1.0) for light in scene.lights]
     display = linear_to_srgb(reinhard_tonemap(shade_direct(sample, lights))).astype(np.float32)
-    color = fb.color.reshape(len(winner), fb.samples, 3)
-    color[covered] = display[source]
+    fb.color.reshape(-1, 3)[covered] = display[source]
 
 
 def main_pass(scene: Scene, tlas, config: RenderConfig, draws: Draws | None = None,

@@ -773,6 +773,26 @@ def test_refit_to_unchanged_poses_gives_the_build_bytes(bench_gltf, demo_gltf):
                                          np.linalg.inv(transforms))) == want
 
 
+def test_world_boxes_match_min_and_max_over_the_corners():
+    """`_world_boxes` gives `world.min(axis=1)` and `world.max(axis=1)` of
+    the transformed root corners byte for byte, on boxes with zero and
+    signed-zero faces under rotations by pi, mirrored scales and -0.0
+    translations, whose extremes are zeros and roundoff about them."""
+    rng = np.random.default_rng(77)
+    a, b = rng.choice([-1.5, -0.0, 0.0, 2.0], (2, 600, 3))
+    corners = np.where(accel._CORNER_IS_HI, np.maximum(a, b)[:, None], np.minimum(a, b)[:, None])
+    moves = [np.eye(4), rotate_y(math.pi), rotate_z(math.pi), scale(-1.0, 1.0, 1.0),
+             scale(1.0, -2.0, -1.0), translate(-0.0, -0.0, -0.0),
+             translate(-0.0, 0.0, -0.0) @ rotate_y(math.pi) @ scale(1.0, 1.0, -1.0)]
+    transforms = np.array(moves)[rng.integers(0, len(moves), len(corners))]
+    world = corners @ transforms[:, :3, :3].transpose(0, 2, 1) + transforms[:, None, :3, 3]
+    lo, hi = accel._world_boxes(corners, transforms)
+    assert lo.tobytes() == world.min(axis=1).tobytes()
+    assert hi.tobytes() == world.max(axis=1).tobytes()
+    assert (lo == 0.0).sum() > 100 and (hi == 0.0).sum() > 100
+    assert (np.abs(lo) < 1e-15).sum() > (lo == 0.0).sum()  # roundoff of pi's sine
+
+
 def test_refit_boxes_are_exact_subtree_bounds_under_motion(monkeypatch):
     """1,024 demo bodies: stub ticks refit from frame 0, and a seeded
     shuffle of the bodies' poses.  The instances match a new build's and

@@ -396,6 +396,47 @@ def test_a_refit_past_the_area_limit_gives_way_to_a_build(monkeypatch):
     assert seen[0][0] == seen[0][1] and seen[1][0] == seen[1][1]
 
 
+def test_a_rebuilt_tree_refits_to_its_own_build_bytes(monkeypatch):
+    """Frame 1's shuffle passes the area limit, so the loop builds again,
+    and frames 2 and 3 refit that tree.  Refitting frame 3's TLAS, whose
+    plan frame 2 made, to the rebuild's own poses gives the rebuild's
+    bytes: the plan's leaves, depths and root corners belong to the tree
+    they were made for."""
+    scene = make_demo_scene(64)
+    names = mesh_instances(scene)[0]
+    perm = np.random.default_rng(7).permutation(len(names))
+
+    def shuffled(tick):
+        poses = physics_stub_step(tick, names)
+        return [(name, poses[k][1]) for name, k in zip(names, perm)]
+
+    snapshots = iter([TransformSnapshot(2, physics_stub_step(0, names))]
+                     + [TransformSnapshot(2 + 2 * t, shuffled(t)) for t in (1, 2, 3)])
+    built, refits = [], []
+    real_build, real_refit = frameloop.build_tlas, frameloop.refit_tlas
+
+    def build_spy(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    def refit_spy(*args):
+        refits.append(real_refit(*args))
+        return refits[-1]
+
+    monkeypatch.setattr(frameloop, "build_tlas", build_spy)
+    monkeypatch.setattr(frameloop, "refit_tlas", refit_spy)
+    run_frame_loop(scene, small_config(width=16, height=16, msaa=1), frames=4,
+                   pose_source=lambda: next(snapshots))
+    assert [t.frame_index for t in built] == [0, 1]
+    assert refits[0] is None and refits[1] is not None and refits[2] is not None
+    rebuilt, last = built[1], refits[2]
+    assert last.refit_plan is refits[1].refit_plan
+    again = real_refit(last, rebuilt.transforms.copy(), rebuilt.frame_index,
+                       rebuilt.inv_transforms.copy())
+    assert serialize_tlas(again) == serialize_tlas(rebuilt)
+    assert last.node_lo.tobytes() != rebuilt.node_lo.tobytes()  # the poses moved
+
+
 def test_unchanged_region_generation_is_checked_once():
     """Two reads of one region generation: the second apply is skipped, and
     both frames show the same pose and record the generation."""
@@ -510,6 +551,25 @@ def test_bad_unposed_world_transform_raises_naming_the_node(bad, shadows):
     scene.world["blocker"] = bad
     with pytest.raises(ValidationError, match="node 'blocker' holds a"):
         run_frame_loop(scene, small_config(shadows=shadows), frames=2)
+    assert display_threads() == []
+
+
+def test_unwritable_image_format_fails_before_any_work(monkeypatch, tmp_path):
+    """image_format "bmp" (and "png" without Pillow) raise ConfigurationError
+    before the BLAS build, and no frame is written."""
+    calls = []
+    monkeypatch.setattr(frameloop, "build_scene_blases", lambda scene: calls.append(scene))
+    formats = ["bmp", "BMP", ""]
+    try:
+        import PIL  # noqa: F401
+    except ImportError:
+        formats.append("png")
+    for image_format in formats:
+        with pytest.raises(ConfigurationError):
+            run_frame_loop(make_triangle_scene(), small_config(), frames=2,
+                           output_prefix=str(tmp_path / "seq"), image_format=image_format)
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
     assert display_threads() == []
 
 

@@ -960,9 +960,21 @@ def test_window_drops_only_samples_the_edge_test_misses(kind, seed, msaa):
         assert not cover.any(), xy[t[cover][0]].tolist()
 
 
+def cover_frame(scene, cfg):
+    """The frame's depth, (H, W, S) winner and (K,) lit after `_raster_band` over the whole target."""
+    fb = create_framebuffer(cfg.width, cfg.height, cfg.msaa)
+    view, proj, _ = camera_matrices(scene, select_camera(scene), cfg.width, cfg.height)
+    batch = _geometry_stage(scene, build_draws(scene), view, proj, cfg.width, cfg.height,
+                            cfg.frustum_culling, cfg.backface_culling)
+    winner = np.full(fb.depth.shape, -1, dtype=np.int32)
+    lit = _raster_band(fb, batch, winner, 0, cfg.height)
+    return fb.depth, winner, lit
+
+
 def test_pair_chunk_size_does_not_change_output(bench_gltf, monkeypatch):
     """bench.gltf at d=0..1, MSAA 1/4/8: any chunk of (triangle, pixel) pairs,
-    down to one pair, gives the same colour and depth bits."""
+    down to one pair, gives the same colour and depth bits, and
+    `_raster_band` the same winner array and lit counts."""
     base = load_gltf(bench_gltf)
     refresh_world_transforms(base)
     for d in range(2):
@@ -971,9 +983,110 @@ def test_pair_chunk_size_does_not_change_output(bench_gltf, monkeypatch):
         for msaa in (1, 4, 8):
             cfg = config(width=64, height=48, msaa=msaa)
             want = main_pass(scene, None, cfg)
+            want_depth, want_winner, want_lit = cover_frame(scene, cfg)
+            assert want_depth.tobytes() == want.depth.tobytes()
+            assert want_lit.sum() > 0
             for chunk in (1, 7, 1 << 20):
                 monkeypatch.setattr(raster, "_PAIR_CHUNK", chunk)
                 fb = main_pass(scene, None, cfg)
+                depth, winner, lit = cover_frame(scene, cfg)
                 monkeypatch.undo()
                 assert fb.color.tobytes() == want.color.tobytes()
                 assert fb.depth.tobytes() == want.depth.tobytes()
+                assert depth.tobytes() == want_depth.tobytes()
+                assert winner.tobytes() == want_winner.tobytes()
+                assert lit.tobytes() == want_lit.tobytes()
+
+
+def deep_overlap_batch():
+    """14 triangles over a 16x12 target, all over its middle, in submission
+    order: a full-target triangle, its exact copy, nested ones with flat and
+    sloped depth, exact copies of those, a depth that rounds to the float32
+    already stored, a quad's two halves sharing an edge, and ones behind
+    everything.  Vertices lie on the 1/16 sample lattice, so edge functions
+    are exact, and flat depths are float32 values, so the copies of flat
+    triangles tie what they cover."""
+    big = [(-4.0, -4.0), (40.0, -4.0), (-4.0, 30.0)]
+    mid = [(1.0, 0.5), (15.5, 1.0), (2.0, 11.5)]
+    small = [(4.0, 3.0), (12.0, 3.0), (4.0, 9.0)]
+    quad_a, quad_b = [(3.0, 2.0), (13.0, 2.0), (3.0, 10.0)], [(13.0, 2.0), (13.0, 10.0), (3.0, 10.0)]
+    below = 0.5 - 2.0 ** -30  # rounds to float32 0.5
+    tris = [(big, (0.625,) * 3), (big, (0.625,) * 3), (mid, (0.625,) * 3),
+            (mid, (0.7, 0.2, 0.5)), (mid, (0.7, 0.2, 0.5)), (small, (0.5,) * 3),
+            (small, (below,) * 3), (small, (below,) * 3),
+            (quad_a, (0.4375,) * 3), (quad_b, (0.4375,) * 3),
+            (quad_a, (0.4375,) * 3), (quad_b, (0.3, 0.6, 0.45)),
+            (big, (0.875,) * 3), (small, (0.9375,) * 3)]
+    xy = np.array([t[0] for t in tris], dtype=np.float64)
+    z = np.array([t[1] for t in tris], dtype=np.float64)
+    flip = edge_setup(xy)[4] < 0.0
+    xy[flip], z[flip] = xy[flip][:, [0, 2, 1]], z[flip][:, [0, 2, 1]]
+    batch = soup_batch(xy, 5)
+    batch.z = z.reshape(-1)
+    return batch
+
+
+def sequential_oracle(batch, width, height, msaa):
+    """Covering every sample of the target with each triangle in turn, one
+    sample at a time: a sample passes on ``z < float32 stored`` and stores
+    ``float32(z)``, with edge functions and depth as `_raster_band` rounds
+    them.  Returns depth, winner, lit, the number of depth ties, and per
+    sample the triangles covering it and the passes."""
+    depth = np.full((height, width, msaa), np.inf, dtype=np.float32)
+    winner = np.full((height, width, msaa), -1, dtype=np.int32)
+    lit = np.zeros(batch.count, dtype=np.int64)
+    candidates = np.zeros((height, width, msaa), dtype=np.int64)
+    passes = np.zeros((height, width, msaa), dtype=np.int64)
+    ties = 0
+    for k, tri in enumerate(batch.tri):
+        (x0, y0), (x1, y1), (x2, y2) = batch.xy[tri].tolist()
+        z0, z1, z2 = batch.z[tri].tolist()
+        edges = [(x1 - x0, y1 - y0, x0, y0), (x2 - x1, y2 - y1, x1, y1), (x0 - x2, y0 - y2, x2, y2)]
+        area2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        for row in range(height):
+            for col in range(width):
+                passed = False
+                for s, (sx, sy) in enumerate(SAMPLE_POSITIONS[msaa].tolist()):
+                    px, py = col + sx, row + sy
+                    e = [dx * (py - vy) - dy * (px - vx) for dx, dy, vx, vy in edges]
+                    if not all(v > 0.0 or (v == 0.0 and (dy < 0.0 or (dy == 0.0 and dx > 0.0)))
+                               for v, (dx, dy, _, _) in zip(e, edges)):
+                        continue
+                    zg = (e[1] * z0 + e[2] * z1 + e[0] * z2) / area2
+                    stored = float(depth[row, col, s])
+                    ties += zg == stored
+                    candidates[row, col, s] += 1
+                    if zg < stored:
+                        depth[row, col, s] = np.float32(zg)
+                        winner[row, col, s] = k
+                        passes[row, col, s] += 1
+                        passed = True
+                lit[k] += passed
+    return depth, winner, lit, ties, candidates, passes
+
+
+@pytest.mark.parametrize("msaa", [1, 4, 8])
+def test_deep_overlap_matches_a_per_sample_sequential_oracle(msaa, monkeypatch):
+    """14 nested and coplanar triangles over the same pixels, with equal-depth
+    ties: any pair chunk, in one band or two, gives the oracle's depth,
+    winner and lit bits, and the shaded colour does not depend on the chunk."""
+    batch = deep_overlap_batch()
+    want_depth, want_winner, want_lit, ties, candidates, passes = sequential_oracle(
+        batch, 16, 12, msaa)
+    assert ties > 100
+    assert (want_lit > 0).sum() >= 8 and len(np.unique(want_winner)) >= 5
+    assert candidates.max() >= 8 and passes.max() >= 4
+    colors = set()
+    for chunk in (1, 7, 4096, 1 << 20):
+        monkeypatch.setattr(raster, "_PAIR_CHUNK", chunk)
+        for bands in ([(0, 12)], [(0, 5), (5, 12)]):
+            fb = create_framebuffer(16, 12, msaa)
+            winner = np.full(fb.depth.shape, -1, dtype=np.int32)
+            lit = sum(_raster_band(fb, batch, winner, y0, y1) for y0, y1 in bands)
+            assert fb.depth.tobytes() == want_depth.tobytes()
+            assert winner.tobytes() == want_winner.tobytes()
+            assert lit.tobytes() == want_lit.tobytes()
+            _shade(fb, batch, winner, lit, soup_scene(), None, np.zeros(3), False)
+            colors.add(fb.color.tobytes())
+    assert len(colors) == 1
+
